@@ -20,8 +20,10 @@
 //! rounds for CI; the three sweep sizes are kept so the flatness claim is
 //! still exercised. `--enforce-zero-alloc` additionally runs a warm
 //! steady-state session and **fails the process** if any post-warm-up
-//! reparse takes a fresh node slot or grows the merge tables' key storage —
-//! the allocation-free hot path as a CI threshold.
+//! reparse takes a fresh node slot or grows the merge tables' key storage,
+//! or if any warm publish (made with no reader holding a snapshot) copies a
+//! chunk instead of patching it in place — the allocation-free hot path as a
+//! CI threshold.
 //!
 //! `--check-against <baseline.json>` turns the run into a **regression
 //! gate**: the fresh per-stage scaling medians are compared against the
@@ -209,7 +211,7 @@ fn main() {
         &scaling_full_c,
     );
     if !zero_alloc_ok {
-        eprintln!("FAIL: steady-state reparses still allocate (see above)");
+        eprintln!("FAIL: steady-state reparses or publishes still allocate (see above)");
     }
     if !gate_ok {
         eprintln!("FAIL: per-stage medians regressed past tolerance (see above)");
@@ -470,6 +472,10 @@ fn scaling_sweep_with(
 /// Small documents have the *tightest* GC cadence (the collection trigger
 /// is Θ(live) allocations), so this is the strictest setting in which the
 /// free list must become self-sustaining.
+///
+/// Every reparse is followed by a publish whose snapshot is dropped at
+/// once, so no reader holds a version across the next publish: each warm
+/// publish must patch its chunks in place and copy **zero** of them.
 fn steady_state_zero_alloc_check(cfg: &wg_core::SessionConfig, quick: bool) -> bool {
     let program = c_program(&GenSpec::sized(150, 0.0, 7));
     let (start, len) = comparable_site(&program.text, 0.5).expect("generator emits var fillers");
@@ -480,36 +486,48 @@ fn steady_state_zero_alloc_check(cfg: &wg_core::SessionConfig, quick: bool) -> b
     for _ in 0..warm_pairs {
         s.edit(start, len, "qqq");
         assert!(s.reparse().expect("no session error").incorporated);
+        drop(s.publish());
         s.edit(start, 3, &original);
         assert!(s.reparse().expect("no session error").incorporated);
+        drop(s.publish());
     }
     let gcs_warm = s.metrics().gcs;
     let mut fresh = 0u64;
     let mut keys = 0u64;
     let mut recycled = 0u64;
+    let copied0 = s.arena().publish_copied_chunks();
+    let patched0 = s.arena().publish_patched_slots();
     for _ in 0..check_pairs {
         s.edit(start, len, "qqq");
         let a = s.reparse().expect("no session error");
         assert!(a.incorporated);
+        drop(s.publish());
         s.edit(start, 3, &original);
         let b = s.reparse().expect("no session error");
         assert!(b.incorporated);
+        drop(s.publish());
         for r in [&a.report, &b.report] {
             fresh += r.fresh_node_slots;
             keys += r.merge_key_allocs;
             recycled += r.recycled_node_slots;
         }
     }
+    let copied = s.arena().publish_copied_chunks() - copied0;
+    let patched = s.arena().publish_patched_slots() - patched0;
     println!(
         "\nzero-alloc check: {warm_pairs} warm-up pairs ({gcs_warm} collections), \
          {check_pairs} measured pairs: {fresh} fresh node slots, \
-         {keys} merge-key allocs, {recycled} recycled slots"
+         {keys} merge-key allocs, {recycled} recycled slots, \
+         {patched} slots patched and {copied} chunks copied by publish"
     );
     if gcs_warm == 0 {
         eprintln!("zero-alloc check: warm-up never collected — cadence bug");
         return false;
     }
-    fresh == 0 && keys == 0
+    if copied > 0 {
+        eprintln!("zero-alloc check: a publish with no reader copied {copied} chunks");
+    }
+    fresh == 0 && keys == 0 && copied == 0
 }
 
 /// Hand-rolled JSON (the container has no serde): the scaling table plus the

@@ -376,10 +376,13 @@ impl Session {
 
     /// Publishes an immutable, version-stamped [`Snapshot`] of the
     /// committed document state (dag + token tape + semantic facts) for
-    /// concurrent readers. Cheap when nothing changed since the last
-    /// publish (the cached snapshot is reused); otherwise copy-on-write at
-    /// chunk granularity throughout — publish cost tracks the damage of
-    /// the preceding reparse cycle, not document size.
+    /// concurrent readers. Free when nothing changed since the last
+    /// publish (the cached snapshot is reused). Otherwise the dag part
+    /// re-images only the node slots mutated since the last publish, in
+    /// place when no reader still holds the previous snapshot and by
+    /// copying the affected chunks when one does (see
+    /// [`DagArena::publish`]); the token tape re-copies every entry its
+    /// gap moved past since the last publish.
     ///
     /// The snapshot reflects the *committed* tree: text from edits not yet
     /// incorporated by [`Session::reparse`] is invisible to it.

@@ -6,8 +6,9 @@
 //! publishes after each successful reparse cycle; reader threads then
 //! answer position → name queries entirely from the snapshot, never
 //! touching (or waiting on) the writer. Publishing is copy-on-write at
-//! every layer (dag chunks, tape chunks, the semantic view), so its cost
-//! tracks the damage of the preceding cycle, not document size.
+//! every layer (dag chunks, tape chunks, the semantic view): the dag
+//! re-images only the slots mutated since the last publish, the tape the
+//! entries its gap moved past.
 
 use crate::semantics::{SemInfo, SemReadView};
 use crate::tape::TapeSnapshot;

@@ -26,9 +26,7 @@
 //!   so reclamation is amortized O(1) per node built.
 
 use crate::node::{Kids, Node, NodeId, NodeKind, ParseState, INLINE_KIDS};
-use crate::snapshot::{
-    DagRead, DagSnapshot, PinGuard, PinRegistry, SnapChunk, SnapNode, SNAP_CHUNK,
-};
+use crate::snapshot::{DagRead, DagSnapshot, DirtyBits, PinGuard, PinRegistry, Spine, SNAP_CHUNK};
 use std::sync::Arc;
 use wg_grammar::{NonTerminal, ProdId, Terminal};
 
@@ -78,13 +76,19 @@ pub struct DagArena {
     fresh_slab_words: u64,
     /// Nodes built since the last collection (drives the GC trigger).
     allocs_since_gc: usize,
-    /// Published-chunk cache: chunk `c` covers node slots
+    /// The published chunk spine: chunk `c` images node slots
     /// `[c * SNAP_CHUNK, (c + 1) * SNAP_CHUNK)`. [`DagArena::publish`]
-    /// re-materializes only chunks flagged in `snap_dirty` and shares the
-    /// rest by `Arc` clone.
-    snap_chunks: Vec<Arc<SnapChunk>>,
-    /// Chunks containing slots mutated since the last publish.
-    snap_dirty: Vec<bool>,
+    /// patches only the slots flagged in `snap_dirty`; every other chunk
+    /// is shared with earlier snapshots untouched.
+    pub(crate) snap_spine: Spine,
+    /// Per-chunk bitmaps of slots mutated since the last publish.
+    pub(crate) snap_dirty: Vec<DirtyBits>,
+    /// Chunks with a non-empty bitmap, each listed once.
+    pub(crate) snap_dirty_chunks: Vec<u32>,
+    /// Slot images written by publishes.
+    publish_patched: u64,
+    /// Chunks publishes had to copy because a snapshot still shared them.
+    publish_copied: u64,
     /// Version stamp of the most recent publish.
     snap_version: u64,
     /// Versions pinned by live snapshots (shared with their [`PinGuard`]s;
@@ -155,18 +159,23 @@ impl DagArena {
         self.epoch
     }
 
-    /// Flags the snapshot chunk containing `id` as mutated since the last
-    /// publish. Called by every mutation that changes snapshot-visible
-    /// node state (kind, parent, kids, width, liveness) — `changed`-flag
-    /// and mark traffic is exempt, as snapshots do not capture it.
+    /// Flags slot `id` as mutated since the last publish. Called by every
+    /// mutation that changes snapshot-visible node state (kind, parent,
+    /// kids, width, liveness) — `changed`-flag and mark traffic is exempt,
+    /// as snapshots do not capture it.
     #[inline]
     fn touch(&mut self, id: NodeId) {
-        let c = id.index() / SNAP_CHUNK;
+        let (c, bit) = (id.index() / SNAP_CHUNK, id.index() % SNAP_CHUNK);
         if c >= self.snap_dirty.len() {
-            self.snap_dirty.resize(c + 1, true);
-        } else {
-            self.snap_dirty[c] = true;
+            self.snap_dirty.resize(c + 1, DirtyBits::default());
         }
+        let bits = &mut self.snap_dirty[c];
+        // Only a zero word can mean a clean chunk; most touches land in a
+        // word that is already dirty and skip the whole-bitmap test.
+        if bits[bit / 64] == 0 && *bits == DirtyBits::default() {
+            self.snap_dirty_chunks.push(c as u32);
+        }
+        bits[bit / 64] |= 1 << (bit % 64);
     }
 
     /// Starts a new parse generation (nodes created from here on can be
@@ -223,10 +232,7 @@ impl DagArena {
     /// alternatives). Resolves inline storage or the shared kid slab.
     #[inline]
     pub fn kids(&self, id: NodeId) -> &[NodeId] {
-        match &self.nodes[id.index()].kids {
-            Kids::Inline { buf, len } => &buf[..*len as usize],
-            Kids::Slab { off, len, .. } => &self.slab[*off as usize..(*off + *len) as usize],
-        }
+        self.nodes[id.index()].kids.resolve(&self.slab)
     }
 
     /// Number of children without materializing the slice.
@@ -971,7 +977,7 @@ impl DagArena {
     /// died at stamp `v` was still visible to every snapshot published at
     /// or before `v`, so it recycles only once the oldest pinned version
     /// exceeds `v`.
-    fn drain_deferred(&mut self) {
+    pub(crate) fn drain_deferred(&mut self) {
         let oldest = self
             .pins
             .lock()
@@ -1013,62 +1019,65 @@ impl DagArena {
         self.snap_version
     }
 
+    /// Slot images written by [`DagArena::publish`] so far — one per slot
+    /// mutated between publishes, however many times it was mutated.
+    pub fn publish_patched_slots(&self) -> u64 {
+        self.publish_patched
+    }
+
+    /// Chunks [`DagArena::publish`] had to copy because a live snapshot
+    /// still shared them. Zero in a session whose readers drop each
+    /// snapshot before the next publish.
+    pub fn publish_copied_chunks(&self) -> u64 {
+        self.publish_copied
+    }
+
     /// Publishes an immutable snapshot of the current dag.
     ///
-    /// Copy-on-write at chunk granularity: only chunks containing slots
-    /// mutated since the previous publish are re-materialized; the rest
-    /// are shared by reference-count bump. The returned snapshot pins the
-    /// new version stamp, holding off slot recycling (see
+    /// Walks only the chunks holding slots mutated since the previous
+    /// publish. A chunk no snapshot shares is patched in place, re-imaging
+    /// just its flagged slots — O(touched slots); a chunk a live snapshot
+    /// still shares is cloned first and the clone patched, so that reader
+    /// keeps the old one. The snapshot itself shares the chunk spine (one
+    /// reference-count bump). It pins the new version stamp, holding off slot recycling (see
     /// [`DagArena::collect_garbage`]) until it is dropped.
     pub fn publish(&mut self) -> DagSnapshot {
         self.drain_deferred();
-        let n_chunks = self.nodes.len().div_ceil(SNAP_CHUNK);
-        for ci in 0..n_chunks {
-            let dirty = self.snap_dirty.get(ci).copied().unwrap_or(true);
-            if ci < self.snap_chunks.len() {
-                if dirty {
-                    self.snap_chunks[ci] = Arc::new(self.build_chunk(ci));
+        let DagArena {
+            nodes,
+            slab,
+            snap_spine,
+            snap_dirty,
+            snap_dirty_chunks,
+            publish_patched,
+            publish_copied,
+            ..
+        } = self;
+        if !snap_dirty_chunks.is_empty() {
+            let spine = Arc::make_mut(snap_spine);
+            for c in snap_dirty_chunks.drain(..) {
+                let c = c as usize;
+                let start = c * SNAP_CHUNK;
+                let live = &nodes[start..nodes.len().min(start + SNAP_CHUNK)];
+                let dirty = std::mem::take(&mut snap_dirty[c]);
+                *publish_patched += dirty.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
+                if spine.len() <= c {
+                    spine.resize_with(c + 1, Default::default);
                 }
-            } else {
-                let chunk = self.build_chunk(ci);
-                self.snap_chunks.push(Arc::new(chunk));
+                if Arc::get_mut(&mut spine[c]).is_none() {
+                    *publish_copied += 1;
+                }
+                Arc::make_mut(&mut spine[c]).patch(&dirty, live, slab);
             }
         }
-        self.snap_dirty.clear();
-        self.snap_dirty.resize(n_chunks, false);
         self.snap_version += 1;
         let pin = PinGuard::new(Arc::clone(&self.pins), self.snap_version);
         DagSnapshot::new(
-            self.snap_chunks.clone(),
+            Arc::clone(&self.snap_spine),
             self.nodes.len(),
             self.snap_version,
             pin,
         )
-    }
-
-    /// Materializes the snapshot image of chunk `ci` from the live arena.
-    fn build_chunk(&self, ci: usize) -> SnapChunk {
-        let start = ci * SNAP_CHUNK;
-        let end = (start + SNAP_CHUNK).min(self.nodes.len());
-        let mut nodes = Vec::with_capacity(end - start);
-        let mut kid_pool = Vec::new();
-        for i in start..end {
-            let id = NodeId(i as u32);
-            let n = &self.nodes[i];
-            let off = kid_pool.len() as u32;
-            let ks = self.kids(id);
-            let len = ks.len() as u32;
-            kid_pool.extend_from_slice(ks);
-            nodes.push(SnapNode {
-                kind: n.kind.clone(),
-                parent: n.parent,
-                width: n.width,
-                live: !n.free && !n.deferred,
-                kids_off: off,
-                kids_len: len,
-            });
-        }
-        SnapChunk { nodes, kid_pool }
     }
 }
 

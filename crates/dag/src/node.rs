@@ -173,6 +173,15 @@ impl Kids {
         len: 0,
     };
 
+    /// The kid ids, resolving a slab region against the arena's `slab`.
+    #[inline]
+    pub(crate) fn resolve<'a>(&'a self, slab: &'a [NodeId]) -> &'a [NodeId] {
+        match self {
+            Kids::Inline { buf, len } => &buf[..*len as usize],
+            Kids::Slab { off, len, .. } => &slab[*off as usize..(*off + *len) as usize],
+        }
+    }
+
     /// Number of kids.
     #[inline]
     pub(crate) fn len(&self) -> usize {

@@ -35,6 +35,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::ops::Range;
 
@@ -152,6 +153,13 @@ impl fmt::Display for Edit {
     }
 }
 
+/// How many modifications [`TextBuffer::undo`] can reach back. Older
+/// history is dropped, so a long session's buffer stays bounded (~40 KB
+/// per document for keystroke-sized edits, which matters with many
+/// documents open); the analyses themselves undo at most one step, after
+/// a refused edit.
+const UNDO_DEPTH: usize = 256;
+
 /// One entry in the undo history.
 #[derive(Debug, Clone)]
 struct HistoryEntry {
@@ -197,7 +205,8 @@ pub struct TextBuffer {
     /// `pending.len()` except between `rewind_to_prefix` and
     /// `restore_pending`.
     applied: usize,
-    history: Vec<HistoryEntry>,
+    /// The most recent `UNDO_DEPTH` modifications, oldest first.
+    history: VecDeque<HistoryEntry>,
 }
 
 impl TextBuffer {
@@ -208,7 +217,7 @@ impl TextBuffer {
             version: 0,
             pending: Vec::new(),
             applied: 0,
-            history: Vec::new(),
+            history: VecDeque::new(),
         }
     }
 
@@ -321,7 +330,10 @@ impl TextBuffer {
             inserted: insert.len(),
         };
         self.version += 1;
-        self.history.push(HistoryEntry {
+        if self.history.len() == UNDO_DEPTH {
+            self.history.pop_front();
+        }
+        self.history.push_back(HistoryEntry {
             edit,
             removed_text: removed_text.clone(),
             inserted_text: insert.to_string(),
@@ -347,10 +359,11 @@ impl TextBuffer {
     }
 
     /// Undoes the most recent modification, returning the reverse edit.
-    /// Returns `None` if there is nothing to undo. O(log N + edit size).
+    /// Returns `None` if there is nothing to undo; history reaches back
+    /// 256 modifications (`UNDO_DEPTH`). O(log N + edit size).
     pub fn undo(&mut self) -> Option<Edit> {
         self.assert_restored("undo");
-        let entry = self.history.pop()?;
+        let entry = self.history.pop_back()?;
         let start = entry.edit.start;
         self.rope
             .replace(start, entry.inserted_text.len(), &entry.removed_text);
@@ -609,6 +622,20 @@ mod tests {
             }
         );
         assert!(b.undo().is_none());
+    }
+
+    #[test]
+    fn undo_history_is_capped() {
+        let mut b = TextBuffer::new("");
+        for _ in 0..UNDO_DEPTH + 10 {
+            b.insert(b.len(), "x");
+        }
+        assert_eq!(b.history.len(), UNDO_DEPTH, "oldest entries dropped");
+        for _ in 0..UNDO_DEPTH {
+            assert!(b.undo().is_some());
+        }
+        assert!(b.undo().is_none(), "history beyond the cap is gone");
+        assert_eq!(b.text(), "x".repeat(10), "the dropped edits stay applied");
     }
 
     #[test]
