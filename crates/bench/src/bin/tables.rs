@@ -169,11 +169,15 @@ fn incr_update_report(name: &str, g: &Grammar) -> IncrRow {
     }
 }
 
-/// Hand-rolled JSON (the container has no serde): one row per grammar,
-/// plus the incremental-update medians.
+/// Hand-rolled JSON (the container has no serde): the core count the
+/// timings were taken on, one row per grammar, plus the incremental-update
+/// medians.
 fn write_tables_json(path: &str, rows: &[PackedRow], incr: &[IncrRow]) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut j = String::new();
-    j.push_str("{\n  \"bench\": \"tables\",\n  \"grammars\": [\n");
+    j.push_str(&format!(
+        "{{\n  \"bench\": \"tables\",\n  \"cores\": {cores},\n  \"grammars\": [\n"
+    ));
     for (i, r) in rows.iter().enumerate() {
         j.push_str(&format!(
             "    {{\"name\": \"{}\", \"states\": {}, \"terminals\": {}, \"term_classes\": {}, \"action_entries\": {}, \"default_reduce_states\": {}, \"spilled_cells\": {}, \"packed_bytes\": {}, \"naive_bytes\": {}}}{}\n",

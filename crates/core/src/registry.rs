@@ -651,6 +651,39 @@ mod tests {
     }
 
     #[test]
+    fn idle_session_reclaims_each_swapped_out_tree() {
+        // Adoption rebuilds every nonterminal node; a document that sees
+        // no edits between swaps must still not keep the dead trees.
+        let reg = LanguageRegistry::new();
+        let cfg = reg.get_or_compile(stmt_grammar(), stmt_lexdef()).unwrap();
+        let text: String = (0..300).map(|i| format!("v{i}; ")).collect();
+        let mut s = Session::new(&cfg, &text).unwrap();
+        let one_tree = s.arena().in_use();
+        for swap in 0..12 {
+            let current = reg.get_or_compile(stmt_grammar(), stmt_lexdef()).unwrap();
+            let g = current.grammar();
+            let delta = if swap % 2 == 0 {
+                semi_only_delta(g)
+            } else {
+                // Take `stmt -> ;` out again: the last production.
+                let mut d = GrammarDelta::new(g);
+                d.remove_production(wg_grammar::ProdId::from_index(g.num_productions() - 1));
+                d
+            };
+            reg.update_grammar(&delta).unwrap();
+            let out = s.reparse().unwrap();
+            assert!(out.report.grammar_swapped, "swap {swap} adopted");
+            assert!(
+                s.arena().in_use() <= 2 * one_tree,
+                "swap {swap}: {} slots in use, one tree takes {one_tree}",
+                s.arena().in_use()
+            );
+        }
+        assert_eq!(s.grammar_swaps(), 12);
+        assert_eq!(s.text(), text);
+    }
+
+    #[test]
     fn failed_adoption_keeps_the_old_tree_and_retries() {
         // A delta that removes the only reading of the committed text: the
         // session must refuse the swap (non-correcting recovery), keep

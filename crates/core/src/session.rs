@@ -341,6 +341,10 @@ impl Session {
                 self.config = candidate;
                 self.grammar_swaps += 1;
                 self.last_snapshot = None;
+                // Every old nonterminal node died with the swap. Collect
+                // now: an idle document may see no edit (and so no
+                // reparse-time collection) before the next swap.
+                Self::maybe_gc(&mut self.arena, self.root);
                 if let Some(sem) = self.sem.as_mut() {
                     sem.rebuild(&self.arena, self.root);
                 }

@@ -242,7 +242,7 @@ impl DagArena {
     }
 
     #[inline]
-    fn kid_at(&self, id: NodeId, i: usize) -> NodeId {
+    pub(crate) fn kid_at(&self, id: NodeId, i: usize) -> NodeId {
         self.kids(id)[i]
     }
 
@@ -765,6 +765,47 @@ impl DagArena {
         assert!(!parent.is_none(), "cannot collapse a detached choice point");
         self.replace_kid(parent, sym, chosen);
         chosen
+    }
+
+    /// Starts a traversal that dedupes through the pooled mark array (the
+    /// one behind [`DagArena::refresh_parents`] and garbage collection):
+    /// returns the pass's generation, under which no node is marked yet.
+    pub(crate) fn begin_marks(&mut self) -> u32 {
+        self.gc_gen += 1;
+        self.gc_gen
+    }
+
+    /// Whether `id` is marked in pass `gen`.
+    #[inline]
+    pub(crate) fn is_marked(&self, id: NodeId, gen: u32) -> bool {
+        self.mark_gen.get(id.index()) == Some(&gen)
+    }
+
+    /// Marks `id` in pass `gen`; returns whether it was unmarked. Nodes
+    /// built during the pass are covered: the array grows on demand.
+    #[inline]
+    pub(crate) fn mark(&mut self, id: NodeId, gen: u32) -> bool {
+        if id.index() >= self.mark_gen.len() {
+            self.mark_gen
+                .resize(self.nodes.len().max(id.index() + 1), 0);
+        }
+        let slot = &mut self.mark_gen[id.index()];
+        let fresh = *slot != gen;
+        *slot = gen;
+        fresh
+    }
+
+    /// Lends out the pooled traversal stack (cleared); hand it back with
+    /// [`DagArena::return_stack`].
+    pub(crate) fn take_stack(&mut self) -> Vec<NodeId> {
+        let mut stack = std::mem::take(&mut self.gc_stack);
+        stack.clear();
+        stack
+    }
+
+    /// Returns the pooled traversal stack.
+    pub(crate) fn return_stack(&mut self, stack: Vec<NodeId>) {
+        self.gc_stack = stack;
     }
 
     /// Re-establishes parent pointers along the surviving tree after a

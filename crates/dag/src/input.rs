@@ -9,8 +9,8 @@
 //! turns non-deterministic.
 
 use crate::arena::DagArena;
-use crate::fx::FxHashMap;
 use crate::node::{NodeId, NodeKind};
+use wg_grammar::fx::FxHashMap;
 
 /// A lazy input stream over the previous tree version.
 #[derive(Debug, Clone)]

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 mod arena;
-mod fx;
 mod input;
 mod node;
 mod sequence;
@@ -40,7 +39,6 @@ mod stats;
 mod traverse;
 
 pub use arena::DagArena;
-pub use fx::{fx_hash, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use input::InputStream;
 pub use node::{Node, NodeId, NodeKind, ParseState};
 pub use sequence::{rebalance_sequences, rebalance_sequences_full, sequence_depth, SequencePolicy};
@@ -48,3 +46,4 @@ pub use share::unshare_epsilon;
 pub use snapshot::{DagRead, DagSnapshot};
 pub use stats::DagStats;
 pub use traverse::{descendants, dump, structurally_equal, yield_string, Descendants};
+pub use wg_grammar::fx::{fx_hash, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

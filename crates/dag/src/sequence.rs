@@ -97,11 +97,12 @@ pub fn rebalance_sequences_full<P: SequencePolicy>(
     root: NodeId,
     policy: &P,
 ) -> usize {
+    let gen = arena.begin_marks();
     let mut rebuilt = 0;
-    let mut stack = vec![root];
-    let mut seen = std::collections::HashSet::new();
+    let mut stack = arena.take_stack();
+    stack.push(root);
     while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
+        if !arena.mark(id, gen) {
             continue;
         }
         if let Some(symbol) = sequence_head(arena, policy, id) {
@@ -111,6 +112,7 @@ pub fn rebalance_sequences_full<P: SequencePolicy>(
         }
         stack.extend_from_slice(arena.kids(id));
     }
+    arena.return_stack(stack);
     rebuilt
 }
 
@@ -167,11 +169,12 @@ pub fn rebalance_sequences<P: SequencePolicy>(
     root: NodeId,
     policy: &P,
 ) -> usize {
+    let gen = arena.begin_marks();
     let mut rebuilt = 0;
-    let mut stack = vec![root];
-    let mut seen = std::collections::HashSet::new();
+    let mut stack = arena.take_stack();
+    stack.push(root);
     while let Some(id) = stack.pop() {
-        if !seen.insert(id) {
+        if !arena.mark(id, gen) {
             continue;
         }
         // Nodes from earlier epochs head unchanged subtrees: they were left
@@ -188,6 +191,7 @@ pub fn rebalance_sequences<P: SequencePolicy>(
         }
         stack.extend_from_slice(arena.kids(id));
     }
+    arena.return_stack(stack);
     rebuilt
 }
 
@@ -459,6 +463,49 @@ mod tests {
         let d = sequence_depth(&a, seq);
         assert!((2..=10).contains(&d), "depth {d} not logarithmic");
         assert!(a.kids(seq).len() <= 2, "canonical top shape");
+    }
+
+    /// The node structure under `n`: kinds, states and kid order.
+    fn shape(a: &DagArena, n: NodeId) -> String {
+        let kids: Vec<String> = a.kids(n).iter().map(|&k| shape(a, k)).collect();
+        format!("{:?}@{}[{}]", a.kind(n), a.state(n).0, kids.join(" "))
+    }
+
+    #[test]
+    fn rebalance_is_stable_across_consecutive_passes_and_reparses() {
+        let sym = NonTerminal::from_index(1);
+        let policy = TestPolicy { separated: false };
+        let mut a = DagArena::new();
+        let seq_a = flat_seq(&mut a, sym, 128);
+        let top = a.production(wg_grammar::ProdId::from_index(2), ParseState(0), &[seq_a]);
+        let root = a.root(top);
+        assert_eq!(rebalance_sequences(&mut a, root, &policy), 1);
+        let balanced = shape(&a, root);
+        // A second pass over the same tree finds nothing to do ...
+        assert_eq!(rebalance_sequences(&mut a, root, &policy), 0);
+        assert_eq!(shape(&a, root), balanced);
+        // ... and so does the next reparse that reuses it all.
+        a.begin_epoch();
+        assert_eq!(rebalance_sequences(&mut a, root, &policy), 0);
+        assert_eq!(shape(&a, root), balanced);
+        // A reparse that adds a flat sequence beside the reused one
+        // rebalances exactly the new one: the super-root, marked by every
+        // earlier pass, must still be walked.
+        a.begin_epoch();
+        let seq_b = flat_seq(&mut a, sym, 128);
+        let top2 = a.production(
+            wg_grammar::ProdId::from_index(3),
+            ParseState(0),
+            &[seq_a, seq_b],
+        );
+        let seq_a_shape = shape(&a, seq_a);
+        a.set_root_body(root, top2);
+        assert_eq!(rebalance_sequences(&mut a, root, &policy), 1);
+        assert_eq!(shape(&a, seq_a), seq_a_shape, "reused sequence untouched");
+        assert!(sequence_depth(&a, seq_b) <= 10, "new sequence balanced");
+        let twice = shape(&a, root);
+        assert_eq!(rebalance_sequences(&mut a, root, &policy), 0);
+        assert_eq!(shape(&a, root), twice);
     }
 
     #[test]

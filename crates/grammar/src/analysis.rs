@@ -9,12 +9,34 @@ use crate::grammar::Grammar;
 use crate::symbol::{NonTerminal, Symbol, Terminal};
 use crate::termset::TermSet;
 
-/// Precomputed nullable/FIRST/FOLLOW information for one grammar.
+/// Precomputed nullable/FIRST information for one grammar; FOLLOW sets,
+/// which only SLR construction reads, on request
+/// ([`GrammarAnalysis::follow_sets`]).
 #[derive(Debug, Clone)]
 pub struct GrammarAnalysis {
     nullable: Vec<bool>,
     first: Vec<TermSet>,
-    follow: Vec<TermSet>,
+}
+
+/// `m[dst] |= m[src]` on rows of `words` words; returns whether `dst` grew.
+fn union_row(m: &mut [u64], words: usize, dst: usize, src: usize) -> bool {
+    let mut changed = false;
+    if dst != src {
+        for k in 0..words {
+            let v = m[dst * words + k] | m[src * words + k];
+            changed |= v != m[dst * words + k];
+            m[dst * words + k] = v;
+        }
+    }
+    changed
+}
+
+/// Sets terminal `t` in row `row`; returns whether it was new.
+fn insert(m: &mut [u64], words: usize, row: usize, t: Terminal) -> bool {
+    let (w, bit) = (row * words + t.index() / 64, 1u64 << (t.index() % 64));
+    let fresh = m[w] & bit == 0;
+    m[w] |= bit;
+    fresh
 }
 
 impl GrammarAnalysis {
@@ -43,35 +65,46 @@ impl GrammarAnalysis {
             }
         }
 
-        // FIRST.
-        let mut first = vec![TermSet::empty(t_count); nt_count];
+        // FIRST, as rows of a flat bit matrix with every union taken in
+        // place (the fixed point does not depend on update order).
+        let words = t_count.div_ceil(64);
+        let mut first = vec![0u64; nt_count * words];
         changed = true;
         while changed {
             changed = false;
             for (_, p) in g.productions() {
                 let lhs = p.lhs().index();
-                let mut add = TermSet::empty(t_count);
                 for s in p.rhs() {
                     match s {
                         Symbol::T(t) => {
-                            add.insert(*t);
+                            changed |= insert(&mut first, words, lhs, *t);
                             break;
                         }
                         Symbol::N(n) => {
-                            add.union_with(&first[n.index()]);
+                            changed |= union_row(&mut first, words, lhs, n.index());
                             if !nullable[n.index()] {
                                 break;
                             }
                         }
                     }
                 }
-                changed |= first[lhs].union_with(&add);
             }
         }
 
-        // FOLLOW. EOF is in FOLLOW(start) via the augmented production.
-        let mut follow = vec![TermSet::empty(t_count); nt_count];
-        changed = true;
+        let first = (0..nt_count)
+            .map(|n| TermSet::from_words(first[n * words..(n + 1) * words].to_vec(), t_count))
+            .collect();
+        GrammarAnalysis { nullable, first }
+    }
+
+    /// The FOLLOW set of every nonterminal, indexed by nonterminal. EOF is
+    /// in FOLLOW(start) via the augmented production.
+    pub fn follow_sets(&self, g: &Grammar) -> Vec<TermSet> {
+        let nt_count = g.num_nonterminals();
+        let t_count = g.num_terminals();
+        let words = t_count.div_ceil(64);
+        let mut follow = vec![0u64; nt_count * words];
+        let mut changed = true;
         while changed {
             changed = false;
             for (_, p) in g.productions() {
@@ -80,17 +113,21 @@ impl GrammarAnalysis {
                     let Symbol::N(n) = s else { continue };
                     // Terminals derivable right after position i.
                     let mut tail_nullable = true;
-                    let mut add = TermSet::empty(t_count);
                     for t in &rhs[i + 1..] {
                         match t {
                             Symbol::T(term) => {
-                                add.insert(*term);
+                                changed |= insert(&mut follow, words, n.index(), *term);
                                 tail_nullable = false;
                                 break;
                             }
                             Symbol::N(m) => {
-                                add.union_with(&first[m.index()]);
-                                if !nullable[m.index()] {
+                                let first = self.first[m.index()].words();
+                                for (k, &f) in first.iter().enumerate() {
+                                    let w = &mut follow[n.index() * words + k];
+                                    changed |= f & !*w != 0;
+                                    *w |= f;
+                                }
+                                if !self.nullable[m.index()] {
                                     tail_nullable = false;
                                     break;
                                 }
@@ -98,19 +135,14 @@ impl GrammarAnalysis {
                         }
                     }
                     if tail_nullable {
-                        let lhs_follow = follow[p.lhs().index()].clone();
-                        add.union_with(&lhs_follow);
+                        changed |= union_row(&mut follow, words, n.index(), p.lhs().index());
                     }
-                    changed |= follow[n.index()].union_with(&add);
                 }
             }
         }
-
-        GrammarAnalysis {
-            nullable,
-            first,
-            follow,
-        }
+        (0..nt_count)
+            .map(|n| TermSet::from_words(follow[n * words..(n + 1) * words].to_vec(), t_count))
+            .collect()
     }
 
     /// Whether `n` derives the empty string.
@@ -123,12 +155,6 @@ impl GrammarAnalysis {
     #[inline]
     pub fn first(&self, n: NonTerminal) -> &TermSet {
         &self.first[n.index()]
-    }
-
-    /// FOLLOW set of a nonterminal.
-    #[inline]
-    pub fn follow(&self, n: NonTerminal) -> &TermSet {
-        &self.follow[n.index()]
     }
 
     /// FIRST set of a symbol string (e.g. the tail of an item); `nullable_out`
@@ -219,21 +245,24 @@ impl GrammarAnalysis {
             }
         }
         // A is cyclic iff A is reachable from itself through >= 1 edge.
+        // `seen[v] == a + 1` marks v as visited in A's search.
         let mut out = Vec::new();
+        let mut seen = vec![0usize; n];
+        let mut stack: Vec<usize> = Vec::new();
         for a in 0..n {
             if !reachable[a] {
                 continue;
             }
-            let mut seen = vec![false; n];
-            let mut stack: Vec<usize> = edges[a].clone();
+            stack.clear();
+            stack.extend_from_slice(&edges[a]);
             let mut cyclic = false;
             while let Some(v) = stack.pop() {
                 if v == a {
                     cyclic = true;
                     break;
                 }
-                if !seen[v] {
-                    seen[v] = true;
+                if seen[v] != a + 1 {
+                    seen[v] = a + 1;
                     stack.extend_from_slice(&edges[v]);
                 }
             }
@@ -306,11 +335,12 @@ mod tests {
     #[test]
     fn follow_matches_dragon_book() {
         let (g, a) = dragon();
-        let nt = |n: &str| g.nonterminal_by_name(n).unwrap();
-        assert_eq!(names(&g, a.follow(nt("E"))), vec!["$eof", ")"]);
-        assert_eq!(names(&g, a.follow(nt("E'"))), vec!["$eof", ")"]);
-        assert_eq!(names(&g, a.follow(nt("T"))), vec!["$eof", "+", ")"]);
-        assert_eq!(names(&g, a.follow(nt("F"))), vec!["$eof", "+", "*", ")"]);
+        let follow = a.follow_sets(&g);
+        let nt = |n: &str| &follow[g.nonterminal_by_name(n).unwrap().index()];
+        assert_eq!(names(&g, nt("E")), vec!["$eof", ")"]);
+        assert_eq!(names(&g, nt("E'")), vec!["$eof", ")"]);
+        assert_eq!(names(&g, nt("T")), vec!["$eof", "+", ")"]);
+        assert_eq!(names(&g, nt("F")), vec!["$eof", "+", "*", ")"]);
     }
 
     #[test]

@@ -42,6 +42,7 @@
 mod analysis;
 mod builder;
 mod delta;
+pub mod fx;
 mod grammar;
 mod production;
 mod symbol;

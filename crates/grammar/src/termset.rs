@@ -22,6 +22,20 @@ impl TermSet {
         }
     }
 
+    /// Wraps bit words (`universe.div_ceil(64)` of them, no bits at or
+    /// past `universe`) as a set.
+    pub(crate) fn from_words(words: Vec<u64>, universe: usize) -> TermSet {
+        debug_assert_eq!(words.len(), universe.div_ceil(64));
+        TermSet { words, universe }
+    }
+
+    /// The set as little-endian bit words (terminal `i` is bit `i % 64` of
+    /// word `i / 64`), for dense tables that store sets as flat words.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Size of the universe this set ranges over.
     #[inline]
     pub fn universe(&self) -> usize {

@@ -1,5 +1,7 @@
 //! LR(0) items and item sets.
 
+use std::borrow::Borrow;
+use std::sync::Arc;
 use wg_grammar::{Grammar, ProdId, Symbol};
 
 /// An LR(0) item: a production with a dot position (`A -> α · β`).
@@ -58,9 +60,13 @@ impl Item {
 }
 
 /// A canonical (sorted, deduplicated) set of LR(0) items.
+///
+/// Immutable and reference-counted: cloning shares the items, which is
+/// how an incremental table update reuses the kernels and closures of
+/// states a grammar delta does not touch.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ItemSet {
-    items: Vec<Item>,
+    items: Arc<[Item]>,
 }
 
 impl ItemSet {
@@ -68,7 +74,18 @@ impl ItemSet {
     pub fn new(mut items: Vec<Item>) -> ItemSet {
         items.sort_unstable();
         items.dedup();
-        ItemSet { items }
+        ItemSet {
+            items: items.into(),
+        }
+    }
+
+    /// Wraps items that are already in canonical order (strictly
+    /// ascending), skipping the sort.
+    pub(crate) fn from_sorted(items: Vec<Item>) -> ItemSet {
+        debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "items not canonical");
+        ItemSet {
+            items: items.into(),
+        }
     }
 
     /// The items, in canonical order.
@@ -89,7 +106,7 @@ impl ItemSet {
     /// The ε-closure of this set: repeatedly add `B -> · γ` for every
     /// nonterminal `B` just after a dot.
     pub fn closure(&self, g: &Grammar) -> ItemSet {
-        let mut out = self.items.clone();
+        let mut out = self.items.to_vec();
         let mut added = vec![false; g.num_nonterminals()];
         let mut i = 0;
         while i < out.len() {
@@ -103,18 +120,13 @@ impl ItemSet {
         }
         ItemSet::new(out)
     }
+}
 
-    /// Items of the closure whose next symbol is `s`, advanced — the kernel
-    /// of the GOTO target.
-    pub fn goto_kernel(&self, g: &Grammar, s: Symbol) -> ItemSet {
-        ItemSet::new(
-            self.closure(g)
-                .items
-                .iter()
-                .filter(|it| it.next_symbol(g) == Some(s))
-                .map(|it| it.advanced())
-                .collect(),
-        )
+impl Borrow<[Item]> for ItemSet {
+    /// Lets kernel indexes be probed with a borrowed item slice (hashing
+    /// and equality agree: `ItemSet` hashes and compares its item list).
+    fn borrow(&self) -> &[Item] {
+        &self.items
     }
 }
 
@@ -161,17 +173,6 @@ mod tests {
         let c = kernel.closure(&g);
         // S' -> · S eof, S -> · A a, A -> · b, A -> ·
         assert_eq!(c.len(), 4);
-    }
-
-    #[test]
-    fn goto_kernel_advances_matching_items() {
-        let g = simple();
-        let kernel = ItemSet::new(vec![Item::start(ProdId::AUGMENTED)]);
-        let a_nt = g.nonterminal_by_name("A").unwrap();
-        let k = kernel.goto_kernel(&g, Symbol::N(a_nt));
-        assert_eq!(k.len(), 1);
-        assert_eq!(k.items()[0].dot, 1);
-        assert!(!k.is_empty());
     }
 
     #[test]

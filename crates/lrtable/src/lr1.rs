@@ -5,7 +5,7 @@
 //! reuse). The parsers in this workspace always run on SLR/LALR tables;
 //! this module feeds the `tables` benchmark.
 
-use std::collections::HashMap;
+use wg_grammar::fx::{FxHashMap, FxHashSet};
 use wg_grammar::{Grammar, GrammarAnalysis, ProdId, Symbol, Terminal};
 
 /// An LR(1) item: `A -> α · β, t`.
@@ -41,7 +41,7 @@ pub fn lr1_metrics(g: &Grammar) -> Lr1Metrics {
         set
     };
 
-    let mut index: HashMap<Vec<Lr1Item>, usize> = HashMap::new();
+    let mut index: FxHashMap<Vec<Lr1Item>, usize> = FxHashMap::default();
     index.insert(start.clone(), 0);
     let mut states = vec![start];
     let mut work = vec![0usize];
@@ -87,7 +87,7 @@ pub fn lr1_metrics(g: &Grammar) -> Lr1Metrics {
 
 /// Closes an LR(1) item set in place and canonicalizes it.
 fn closure(g: &Grammar, an: &GrammarAnalysis, set: &mut Vec<Lr1Item>) {
-    let mut seen: HashMap<Lr1Item, ()> = set.iter().map(|&i| (i, ())).collect();
+    let mut seen: FxHashSet<Lr1Item> = set.iter().copied().collect();
     let mut i = 0;
     while i < set.len() {
         let item = set[i];
@@ -108,7 +108,7 @@ fn closure(g: &Grammar, an: &GrammarAnalysis, set: &mut Vec<Lr1Item>) {
                     dot: 0,
                     lookahead: t,
                 };
-                if seen.insert(new, ()).is_none() {
+                if seen.insert(new) {
                     set.push(new);
                 }
             }

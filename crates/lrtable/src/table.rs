@@ -10,10 +10,10 @@
 //! form for differential tests and size comparisons.
 
 use crate::automaton::{Lr0Automaton, StateId};
-use crate::lalr::{lalr_lookaheads, Lookaheads};
-use crate::packed::{Cell, PackError, PackedTables, TableStats};
+use crate::lalr::{iter_bits, lalr_lookaheads, Lookaheads};
+use crate::packed::{Cell, PackError, PackedTables, TableStats, NT_LEN_MASK, NT_NONE};
 use std::fmt;
-use wg_grammar::{Assoc, Grammar, GrammarAnalysis, NonTerminal, ProdId, Symbol, TermSet, Terminal};
+use wg_grammar::{Assoc, Grammar, GrammarAnalysis, NonTerminal, ProdId, Symbol, Terminal};
 
 /// A structured table-construction failure.
 ///
@@ -123,15 +123,15 @@ pub(crate) struct RowMeta {
 struct RawTables {
     num_states: usize,
     num_terminals: usize,
-    num_nonterminals: usize,
     /// `actions[s * num_terminals + t]`, each cell sorted and deduplicated.
     actions: Vec<Vec<Action>>,
     /// `gotos[s * num_nonterminals + n]`.
     gotos: Vec<Option<StateId>>,
-    /// Precomputed nonterminal reductions (Section 3.2): `Some(reductions)`
-    /// when every terminal in FIRST(N) agrees; `None` when the incremental
-    /// parser must break the lookahead subtree down to find a terminal.
-    nt_reduce: Vec<Option<Vec<ProdId>>>,
+    /// Per state, the union of its reductions' lookahead sets as
+    /// `num_terminals.div_ceil(64)` bit words: a superset of the terminals
+    /// it reduces on (precedence may have dropped some), which lets the
+    /// Section 3.2 precomputation skip rows that cannot reduce on FIRST(N).
+    reduce_la: Vec<u64>,
     /// States holding at least one cell emptied by `%nonassoc` — a
     /// deliberate error entry. Such states must never default-reduce:
     /// dispatch has to consult the cell and *see* the error.
@@ -174,26 +174,36 @@ fn build_raw(g: &Grammar, an: &GrammarAnalysis, kind: TableKind) -> RawTables {
     }
 
     // Reductions.
-    let lalr = match kind {
-        TableKind::Lalr => Some(lalr_lookaheads(g, an, &auto)),
-        TableKind::Slr => None,
+    let (lalr, follow) = match kind {
+        TableKind::Lalr => (Some(lalr_lookaheads(g, an, &auto)), None),
+        TableKind::Slr => (None, Some(an.follow_sets(g))),
     };
+    let words = num_terminals.div_ceil(64);
+    let mut reduce_la = vec![0u64; num_states * words];
     for s in 0..num_states {
         let sid = StateId(s as u32);
-        for item in auto.closure(sid).items() {
-            if !item.is_final(g) || item.prod == ProdId::AUGMENTED {
-                continue;
+        let row = &mut actions[s * num_terminals..(s + 1) * num_terminals];
+        let row_la = &mut reduce_la[s * words..(s + 1) * words];
+        let mut add = |prod: ProdId, la: &[u64]| {
+            for t in iter_bits(la) {
+                row[t.index()].push(Action::Reduce(prod));
             }
-            let lhs = g.production(item.prod).lhs();
-            let la: TermSet = match &lalr {
-                Some(map) => map
-                    .get(&(sid, item.prod))
-                    .cloned()
-                    .unwrap_or_else(|| TermSet::empty(num_terminals)),
-                None => an.follow(lhs).clone(),
-            };
-            for t in la.iter() {
-                actions[s * num_terminals + t.index()].push(Action::Reduce(item.prod));
+            for (acc, w) in row_la.iter_mut().zip(la) {
+                *acc |= w;
+            }
+        };
+        match &lalr {
+            Some(la) => la.reductions(sid).for_each(|(prod, set)| add(prod, set)),
+            None => {
+                let follow = follow.as_ref().expect("SLR builds compute FOLLOW");
+                for item in auto.closure(sid).items() {
+                    if item.is_final(g) && item.prod != ProdId::AUGMENTED {
+                        add(
+                            item.prod,
+                            follow[g.production(item.prod).lhs().index()].words(),
+                        );
+                    }
+                }
             }
         }
     }
@@ -235,55 +245,32 @@ fn build_raw(g: &Grammar, an: &GrammarAnalysis, kind: TableKind) -> RawTables {
         });
     }
 
-    // Nonterminal-reduction precomputation (Section 3.2).
-    let mut nt_reduce = vec![None; num_states * num_nonterminals];
-    for s in 0..num_states {
-        for n in g.nonterminals() {
-            if an.nullable(n) {
-                continue; // `provided that N does not generate ε`
-            }
-            let first = an.first(n);
-            if first.is_empty() {
-                continue;
-            }
-            let mut agreed: Option<Vec<ProdId>> = None;
-            let mut ok = true;
-            for t in first.iter() {
-                let reduces: Vec<ProdId> = actions[s * num_terminals + t.index()]
-                    .iter()
-                    .filter_map(|a| match a {
-                        Action::Reduce(p) => Some(*p),
-                        _ => None,
-                    })
-                    .collect();
-                match &agreed {
-                    None => agreed = Some(reduces),
-                    Some(prev) if *prev == reduces => {}
-                    Some(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                nt_reduce[s * num_nonterminals + n.index()] = Some(agreed.unwrap_or_default());
-            }
-        }
-    }
-
     RawTables {
         num_states,
         num_terminals,
-        num_nonterminals,
         actions,
         gotos,
-        nt_reduce,
+        reduce_la,
         no_default,
         conflicts,
         row_meta,
         lookaheads: lalr,
         automaton: auto,
     }
+}
+
+/// Packs raw tables, computing the Section 3.2 nonterminal reductions on
+/// the packed cells.
+fn pack_raw(g: &Grammar, an: &GrammarAnalysis, raw: &RawTables) -> Result<PackedTables, PackError> {
+    PackedTables::pack(
+        g,
+        an,
+        raw.num_states,
+        &raw.actions,
+        &raw.gotos,
+        &raw.reduce_la,
+        &raw.no_default,
+    )
 }
 
 /// A conflict-preserving SLR(1)/LALR(1) parse table in the packed,
@@ -304,6 +291,9 @@ pub struct LrTable {
     pub(crate) lookaheads: Option<Lookaheads>,
     pub(crate) row_meta: Vec<RowMeta>,
     pub(crate) no_default: Vec<bool>,
+    /// The grammar analysis the table was built from, retained so an
+    /// update need not recompute the old grammar's FIRST sets.
+    pub(crate) analysis: GrammarAnalysis,
 }
 
 impl LrTable {
@@ -335,8 +325,7 @@ impl LrTable {
     ///
     /// Returns a [`TableBuildError`] for cyclic grammars or field overflow.
     pub fn try_build(g: &Grammar, kind: TableKind) -> Result<LrTable, TableBuildError> {
-        let an = GrammarAnalysis::new(g);
-        Self::try_build_with_analysis(g, &an, kind)
+        Self::build_owned(g, GrammarAnalysis::new(g), kind)
     }
 
     /// As [`LrTable::try_build`], reusing a precomputed [`GrammarAnalysis`].
@@ -349,20 +338,22 @@ impl LrTable {
         an: &GrammarAnalysis,
         kind: TableKind,
     ) -> Result<LrTable, TableBuildError> {
+        Self::build_owned(g, an.clone(), kind)
+    }
+
+    /// As [`LrTable::try_build_with_analysis`], keeping `an` in the table.
+    pub(crate) fn build_owned(
+        g: &Grammar,
+        an: GrammarAnalysis,
+        kind: TableKind,
+    ) -> Result<LrTable, TableBuildError> {
         if let Some(&n) = an.cyclic_nonterminals(g).first() {
             return Err(TableBuildError::CyclicGrammar {
                 nonterminal: g.nonterminal_name(n).to_string(),
             });
         }
-        let raw = build_raw(g, an, kind);
-        let packed = PackedTables::pack(
-            g,
-            raw.num_states,
-            &raw.actions,
-            &raw.gotos,
-            &raw.nt_reduce,
-            &raw.no_default,
-        )?;
+        let raw = build_raw(g, &an, kind);
+        let packed = pack_raw(g, &an, &raw)?;
         Ok(LrTable {
             kind,
             num_states: raw.num_states,
@@ -373,6 +364,7 @@ impl LrTable {
             lookaheads: raw.lookaheads,
             row_meta: raw.row_meta,
             no_default: raw.no_default,
+            analysis: an,
         })
     }
 
@@ -461,17 +453,31 @@ impl LrTable {
 
 /// The raw (naive, cell-of-Vecs) table, exposed for differential testing
 /// and size comparison against the packed [`LrTable`]. Built by the same
-/// construction pass, skipping only the packing step.
+/// construction pass, skipping only the packing of ACTION and GOTO; its
+/// nonterminal-reduction lists come from the one Section 3.2 routine,
+/// which reads packed cells.
 pub struct RefTable {
     raw: RawTables,
+    num_nonterminals: usize,
+    packed: PackedTables,
 }
 
 impl RefTable {
     /// Builds the reference table for `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a packed-encoding overflow of the nonterminal-reduction
+    /// lists.
     pub fn build(g: &Grammar, kind: TableKind) -> RefTable {
         let an = GrammarAnalysis::new(g);
+        let raw = build_raw(g, &an, kind);
+        let packed =
+            pack_raw(g, &an, &raw).unwrap_or_else(|e| panic!("table construction failed: {e}"));
         RefTable {
-            raw: build_raw(g, &an, kind),
+            raw,
+            num_nonterminals: g.num_nonterminals(),
+            packed,
         }
     }
 
@@ -487,12 +493,12 @@ impl RefTable {
 
     /// The GOTO target for `(state, nonterminal)`, if defined.
     pub fn goto(&self, s: StateId, n: NonTerminal) -> Option<StateId> {
-        self.raw.gotos[s.index() * self.raw.num_nonterminals + n.index()]
+        self.raw.gotos[s.index() * self.num_nonterminals + n.index()]
     }
 
     /// Precomputed reductions for nonterminal lookahead (Section 3.2).
     pub fn nt_reductions(&self, s: StateId, n: NonTerminal) -> Option<&[ProdId]> {
-        self.raw.nt_reduce[s.index() * self.raw.num_nonterminals + n.index()].as_deref()
+        self.packed.nt_reductions(s, n)
     }
 
     /// Total number of nonempty ACTION entries.
@@ -508,12 +514,13 @@ impl RefTable {
             + self.num_action_entries() * std::mem::size_of::<Action>();
         let goto_cells = self.raw.gotos.len() * std::mem::size_of::<Option<StateId>>();
         let nt_entries: usize = self
-            .raw
-            .nt_reduce
+            .packed
+            .nt_cells
             .iter()
-            .map(|c| c.as_ref().map_or(0, |v| v.len()))
+            .filter(|&&w| w != NT_NONE)
+            .map(|&w| (w & NT_LEN_MASK) as usize)
             .sum();
-        let nt_cells = self.raw.nt_reduce.len() * std::mem::size_of::<Option<Vec<ProdId>>>()
+        let nt_cells = self.packed.nt_cells.len() * std::mem::size_of::<Option<Vec<ProdId>>>()
             + nt_entries * std::mem::size_of::<ProdId>();
         action_cells + goto_cells + nt_cells
     }
@@ -813,7 +820,7 @@ impl LrTable {
     /// kernel items; conflicted states double-circled).
     pub fn to_dot(&self, g: &Grammar) -> String {
         use std::fmt::Write;
-        let conflicted: std::collections::HashSet<usize> = self
+        let conflicted: wg_grammar::fx::FxHashSet<usize> = self
             .conflicts
             .remaining
             .iter()
