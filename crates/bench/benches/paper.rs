@@ -3,8 +3,8 @@
 //! these give statistically solid per-kernel numbers).
 //!
 //! Groups:
-//! * `batch_parse`   — S5a: deterministic vs IGLR vs batch GLR vs Earley on
-//!   one token stream.
+//! * `batch_parse`   — S5a: deterministic vs IGLR vs Earley on one token
+//!   stream.
 //! * `incremental`   — S5b: one self-cancelling token edit, deterministic vs
 //!   IGLR sessions.
 //! * `ambig_region`  — S5d: an edit inside vs outside an ambiguous region.
@@ -17,7 +17,6 @@ use wg_bench::{tokenize, DetSession};
 use wg_core::{IglrParser, Session, SessionConfig};
 use wg_dag::DagArena;
 use wg_earley::EarleyParser;
-use wg_glr::GlrParser;
 use wg_langs::generate::{c_program, GenSpec};
 use wg_langs::toys::stmt_list;
 use wg_langs::{simp_c, simp_c_det};
@@ -46,13 +45,6 @@ fn batch_parse(c: &mut Criterion) {
         b.iter(|| {
             let mut arena = DagArena::new();
             black_box(p.parse_tokens(&mut arena, pairs.iter().copied()).unwrap())
-        })
-    });
-    g.bench_function("batch_glr", |b| {
-        let p = GlrParser::new(cfg.grammar(), cfg.table());
-        b.iter(|| {
-            let mut arena = DagArena::new();
-            black_box(p.parse(&mut arena, pairs.iter().copied()).unwrap())
         })
     });
     g.bench_function("earley_recognize", |b| {

@@ -3,22 +3,22 @@
 //! faster than Earley's algorithm (Tomita's and Rekers' measurements, which
 //! the paper relies on to justify GLR as the substrate).
 //!
-//! We time batch GLR against the Earley recognizer on the same token
-//! streams of the simplified-C grammar (near-LR: only the typedef conflict)
+//! We time a batch GLR parse (the IGLR parser over a fresh token stream)
+//! against the Earley recognizer on the same token streams of the simplified-C grammar (near-LR: only the typedef conflict)
 //! at growing sizes.
 //!
 //! Run: `cargo run --release -p wg-bench --bin glr_vs_earley`
 
 use wg_bench::{fmt_dur, print_table, time_once, tokenize};
+use wg_core::IglrParser;
 use wg_dag::DagArena;
 use wg_earley::EarleyParser;
-use wg_glr::GlrParser;
 use wg_langs::generate::{c_program, GenSpec};
 use wg_langs::simp_c;
 
 fn main() {
     let cfg = simp_c();
-    let glr = GlrParser::new(cfg.grammar(), cfg.table());
+    let glr = IglrParser::new(cfg.grammar(), cfg.table());
     let earley = EarleyParser::new(cfg.grammar());
 
     let mut rows = Vec::new();
@@ -31,7 +31,7 @@ fn main() {
 
         let (_d, t_glr) = time_once(|| {
             let mut arena = DagArena::new();
-            glr.parse(&mut arena, pairs.iter().copied())
+            glr.parse_tokens(&mut arena, pairs.iter().copied())
                 .expect("parses")
         });
         let (stats, t_earley) = time_once(|| earley.run(&terms));
@@ -58,7 +58,7 @@ fn main() {
     // position while GLR's local packing keeps the work bounded.
     let amb = wg_langs::toys::ambiguous_expr(false);
     let amb_table = wg_lrtable::LrTable::build(&amb, wg_lrtable::TableKind::Lalr);
-    let amb_glr = GlrParser::new(&amb, &amb_table);
+    let amb_glr = IglrParser::new(&amb, &amb_table);
     let amb_earley = EarleyParser::new(&amb);
     let num = amb.terminal_by_name("num").expect("num");
     let plus = amb.terminal_by_name("+").expect("+");
@@ -76,7 +76,7 @@ fn main() {
         let (_d, t_glr) = time_once(|| {
             let mut arena = DagArena::new();
             let r = amb_glr
-                .parse(&mut arena, pairs.iter().copied())
+                .parse_tokens(&mut arena, pairs.iter().copied())
                 .expect("parses");
             dag_nodes = arena.len();
             r

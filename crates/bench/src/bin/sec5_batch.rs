@@ -6,15 +6,15 @@
 //! in the paper.
 //!
 //! We parse identical token streams with the deterministic incremental
-//! parser (batch mode), the IGLR parser (batch mode), and the plain batch
-//! GLR parser, and report total times plus the parse-vs-lex split.
+//! parser (batch mode) and the IGLR parser (batch mode: GLR over a
+//! terminal-only input stream), and report total times plus the
+//! parse-vs-lex split.
 //!
 //! Run: `cargo run --release -p wg-bench --bin sec5_batch [lines]`
 
 use wg_bench::{fmt_dur, print_table, time_once, tokenize};
 use wg_core::IglrParser;
 use wg_dag::DagArena;
-use wg_glr::GlrParser;
 use wg_langs::generate::{c_program, GenSpec};
 use wg_langs::simp_c_det;
 use wg_sentential::IncLrParser;
@@ -33,7 +33,6 @@ fn main() {
 
     let det = IncLrParser::new(cfg.grammar(), cfg.table()).expect("deterministic");
     let iglr = IglrParser::new(cfg.grammar(), cfg.table());
-    let glr = GlrParser::new(cfg.grammar(), cfg.table());
 
     let (_r1, t_det) = time_once(|| {
         let mut arena = DagArena::new();
@@ -43,11 +42,6 @@ fn main() {
     let (_r2, t_iglr) = time_once(|| {
         let mut arena = DagArena::new();
         iglr.parse_tokens(&mut arena, pairs.iter().copied())
-            .expect("parses")
-    });
-    let (_r3, t_glr) = time_once(|| {
-        let mut arena = DagArena::new();
-        glr.parse(&mut arena, pairs.iter().copied())
             .expect("parses")
     });
 
@@ -60,7 +54,6 @@ fn main() {
             per_tok(t_det),
         ],
         vec!["IGLR (batch mode)".into(), fmt_dur(t_iglr), per_tok(t_iglr)],
-        vec!["batch GLR (Rekers)".into(), fmt_dur(t_glr), per_tok(t_glr)],
     ];
     print_table(
         "Section 5 — initial parse, typedef ambiguity removed",

@@ -37,6 +37,7 @@
 //! both runs.
 
 use std::time::Duration;
+use wg_bench::gate::{Baseline, GateArgs};
 use wg_bench::json::Json;
 use wg_bench::{fmt_dur, print_table, DetSession};
 use wg_core::Session;
@@ -63,23 +64,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut enforce = false;
-    let mut check_against: Option<String> = None;
-    let mut tolerance = 0.25f64;
+    let mut gate_args = GateArgs::default();
     let mut positional: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
             "--enforce-zero-alloc" => enforce = true,
-            "--check-against" => {
-                check_against = Some(it.next().expect("--check-against needs a path"));
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--tolerance needs a fraction, e.g. 0.25");
-            }
+            flag if gate_args.parse_flag(flag, &mut it) => {}
             other if !other.starts_with("--") => positional.push(a),
             other => panic!("unknown flag {other}"),
         }
@@ -92,13 +84,7 @@ fn main() {
         .get(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(if quick { 40 } else { 200 });
-    // Read the baseline up front: the gate may point at the very file this
-    // run overwrites at the end.
-    let baseline = check_against.map(|path| {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        (path, text)
-    });
+    let baseline = gate_args.load();
     let cfg = simp_c_det();
     let program = c_program(&GenSpec::sized(lines, 0.0, 7));
     let sites = edit_sites(&program.text, edits, 11);
@@ -172,8 +158,8 @@ fn main() {
         true
     };
     let mut gate_ok = true;
-    if let Some((path, text)) = baseline {
-        gate_ok = regression_gate(&path, &text, &scaling, tolerance);
+    if let Some(baseline) = baseline {
+        gate_ok = regression_gate(&baseline, &scaling);
         if !gate_ok {
             // Anti-flake: a load spike on shared CI hardware inflates every
             // median at once. Re-measure once and gate on the element-wise
@@ -196,7 +182,7 @@ fn main() {
                     key_allocs: a.key_allocs.min(b.key_allocs),
                 })
                 .collect();
-            gate_ok = regression_gate(&path, &text, &merged, tolerance);
+            gate_ok = regression_gate(&baseline, &merged);
         }
     }
     write_json(
@@ -221,86 +207,38 @@ fn main() {
     }
 }
 
-/// Baseline medians below this are jitter, not signal: a 25% band around a
-/// few hundred nanoseconds is narrower than scheduler noise on shared CI
-/// hardware, so such stages are reported but never fail the gate.
-const GATE_NOISE_FLOOR_NS: u64 = 2_000;
-
-/// Compares the fresh scaling medians against a committed
-/// `BENCH_incremental.json` and returns `false` if any gated stage slowed
-/// down by more than `tolerance` (a fraction: 0.25 = +25%).
-fn regression_gate(path: &str, baseline: &str, fresh: &[ScalingRow], tolerance: f64) -> bool {
-    let doc = match Json::parse(baseline) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("regression gate: {path} is not valid JSON: {e}");
-            return false;
-        }
-    };
-    let Some(rows) = doc.get("scaling").and_then(Json::as_arr) else {
-        eprintln!("regression gate: {path} has no \"scaling\" array");
-        return false;
-    };
-    println!(
-        "\nregression gate vs {path} (tolerance +{:.0}%):",
-        tolerance * 100.0
-    );
-    let mut ok = true;
-    let mut gated = 0usize;
-    for row in fresh {
-        let Some(base) = rows
-            .iter()
-            .find(|r| r.get("tokens").and_then(Json::as_u64) == Some(row.tokens as u64))
-        else {
-            println!("  {} tokens: no baseline row — skipped", row.tokens);
-            continue;
+/// Gates the fresh per-stage scaling medians against the committed
+/// `BENCH_incremental.json`.
+fn regression_gate(baseline: &Baseline, fresh: &[ScalingRow]) -> bool {
+    baseline.check(|doc, gate| {
+        let Some(rows) = gate.rows(doc, "scaling") else {
+            return;
         };
-        let stages: [(&str, &str, Duration); 6] = [
-            ("buffer", "buffer_ns", row.buffer),
-            ("relex", "relex_ns", row.relex),
-            ("parse", "parse_ns", row.parse),
-            ("maintenance", "maintenance_ns", row.maintenance),
-            ("sem", "sem_ns", row.sem),
-            ("total", "total_ns", row.total),
-        ];
-        for (name, key, now) in stages {
-            let Some(base_ns) = base.get(key).and_then(Json::as_u64) else {
-                println!(
-                    "  {} tokens {name}: missing in baseline — skipped",
-                    row.tokens
-                );
+        for row in fresh {
+            let Some(base) = rows
+                .iter()
+                .find(|r| r.get("tokens").and_then(Json::as_u64) == Some(row.tokens as u64))
+            else {
+                gate.skip(&format!("{} tokens", row.tokens), "no baseline row");
                 continue;
             };
-            let now_ns = now.as_nanos() as u64;
-            let delta = (now_ns as f64 / (base_ns as f64).max(1.0) - 1.0) * 100.0;
-            if base_ns < GATE_NOISE_FLOOR_NS {
-                println!(
-                    "  {} tokens {name}: {base_ns}ns -> {now_ns}ns ({delta:+.0}%) [sub-{}µs baseline, not gated]",
-                    row.tokens,
-                    GATE_NOISE_FLOOR_NS / 1_000,
-                );
-                continue;
-            }
-            gated += 1;
-            if delta > tolerance * 100.0 {
-                eprintln!(
-                    "  {} tokens {name}: {base_ns}ns -> {now_ns}ns ({delta:+.0}%) REGRESSION",
-                    row.tokens
-                );
-                ok = false;
-            } else {
-                println!(
-                    "  {} tokens {name}: {base_ns}ns -> {now_ns}ns ({delta:+.0}%) ok",
-                    row.tokens
-                );
+            let stages: [(&str, &str, Duration); 6] = [
+                ("buffer", "buffer_ns", row.buffer),
+                ("relex", "relex_ns", row.relex),
+                ("parse", "parse_ns", row.parse),
+                ("maintenance", "maintenance_ns", row.maintenance),
+                ("sem", "sem_ns", row.sem),
+                ("total", "total_ns", row.total),
+            ];
+            for (name, key, now) in stages {
+                let label = format!("{} tokens {name}", row.tokens);
+                match base.get(key).and_then(Json::as_u64) {
+                    Some(base_ns) => gate.latency(&label, base_ns, now.as_nanos() as u64),
+                    None => gate.skip(&label, "missing in baseline"),
+                }
             }
         }
-    }
-    if gated == 0 {
-        eprintln!("regression gate: no stage cleared the noise floor — stale baseline?");
-        return false;
-    }
-    ok
+    })
 }
 
 /// Per-edit reparse cost across document sizes: a single-token

@@ -32,6 +32,7 @@
 //! Writes `BENCH_throughput.json` for CI archival.
 
 use std::time::{Duration, Instant};
+use wg_bench::gate::{Baseline, GateArgs, NOISE_FLOOR_NS};
 use wg_bench::json::Json;
 use wg_bench::{
     doc_workloads, fmt_dur, print_table, read_mostly_ops, read_mostly_ops_every, DocWorkload,
@@ -62,8 +63,6 @@ const GATE_SPEEDUP_MIN: f64 = 1.5;
 const GATE_SNAPSHOT_P99_FACTOR: f64 = 1.25;
 /// Thread count of the read-mostly cell the snapshot gate re-runs.
 const SNAPSHOT_GATE_THREADS: usize = 4;
-/// Baseline latencies below this are scheduler jitter, never gated.
-const GATE_NOISE_FLOOR_NS: u64 = 2_000;
 
 struct Cell {
     docs: usize,
@@ -121,33 +120,18 @@ fn percentile(sorted_ns: &[u64], p: f64) -> Duration {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut check_against: Option<String> = None;
-    let mut tolerance = 0.25f64;
+    let mut gate_args = GateArgs::default();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--check-against" => {
-                check_against = Some(it.next().expect("--check-against needs a path"));
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--tolerance needs a fraction, e.g. 0.25");
-            }
+            flag if gate_args.parse_flag(flag, &mut it) => {}
             other => panic!("unknown flag {other}"),
         }
     }
     let (lines, pairs, warmup_pairs) = if quick { (150, 30, 4) } else { (400, 80, 8) };
     let (read_ops, read_warmup) = if quick { (112, 16) } else { (352, 32) };
-    // Read the baseline up front: the gate points at the very file this run
-    // overwrites at the end.
-    let baseline = check_against.map(|path| {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        (path, text)
-    });
+    let baseline = gate_args.load();
 
     let registry = std::sync::Arc::new(LanguageRegistry::new());
     let (grammar, lexdef) = simp_c_det_defs();
@@ -242,7 +226,7 @@ fn main() {
     let mut snap_ok = snapshot_gate(&read_cells, &double_cell, true);
     let mut gate_ok = baseline
         .as_ref()
-        .is_none_or(|(p, t)| regression_gate(p, t, &cells, &read_cells, tolerance));
+        .is_none_or(|b| regression_gate(b, &cells, &read_cells));
     if !scale_ok || !snap_ok || !gate_ok {
         // Anti-flake: a load spike on shared CI hardware inflates every
         // latency at once. Re-measure once and gate on the element-wise
@@ -258,7 +242,7 @@ fn main() {
         snap_ok = snapshot_gate(&read_cells, &double_cell, true);
         gate_ok = baseline
             .as_ref()
-            .is_none_or(|(p, t)| regression_gate(p, t, &cells, &read_cells, tolerance));
+            .is_none_or(|b| regression_gate(b, &cells, &read_cells));
     }
 
     // Report.
@@ -421,7 +405,7 @@ fn snapshot_gate(read_cells: &[ReadCell], double: &ReadCell, verbose: bool) -> b
         .expect("gate thread count is part of the sweep");
     // Clamp the baseline up to the noise floor: sub-microsecond p99s are
     // scheduler jitter and a ratio of jitter gates nothing real.
-    let base_ns = (base.query_p99.as_nanos() as u64).max(GATE_NOISE_FLOOR_NS);
+    let base_ns = (base.query_p99.as_nanos() as u64).max(NOISE_FLOOR_NS);
     let now_ns = double.query_p99.as_nanos() as u64;
     let ratio = now_ns as f64 / base_ns as f64;
     if ratio > GATE_SNAPSHOT_P99_FACTOR {
@@ -527,102 +511,51 @@ fn merge_best_read(a: Vec<ReadCell>, b: Vec<ReadCell>) -> Vec<ReadCell> {
         .collect()
 }
 
-/// Compares fresh cells against a committed `BENCH_throughput.json`:
-/// per-(docs, threads) cell, p50 latency must not grow past `tolerance`
-/// (above the noise floor) and edits/sec must not fall below it; the
-/// read-mostly rows gate ops/sec and query p50 the same way. Missing
-/// baseline rows or fields are skipped (new grid corners are allowed),
-/// but at least one gated comparison must happen.
-fn regression_gate(
-    path: &str,
-    baseline: &str,
-    cells: &[Cell],
-    read_cells: &[ReadCell],
-    tolerance: f64,
-) -> bool {
-    let doc = match Json::parse(baseline) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("regression gate: {path} is not valid JSON: {e}");
-            return false;
+/// Gates fresh cells against a committed `BENCH_throughput.json`:
+/// per-(docs, threads) cell, p50 latency and edits/sec; the read-mostly
+/// rows gate query p50 and ops/sec the same way. Missing baseline rows or
+/// fields are skipped (new grid corners are allowed).
+fn regression_gate(baseline: &Baseline, cells: &[Cell], read_cells: &[ReadCell]) -> bool {
+    baseline.check(|doc, gate| {
+        let grid = doc.get("grid").and_then(Json::as_arr);
+        for c in cells {
+            let Some(base) = grid.and_then(|rows| {
+                rows.iter().find(|r| {
+                    r.get("docs").and_then(Json::as_u64) == Some(c.docs as u64)
+                        && r.get("threads").and_then(Json::as_u64) == Some(c.threads as u64)
+                })
+            }) else {
+                gate.skip(&format!("grid {}x{}", c.docs, c.threads), "no baseline row");
+                continue;
+            };
+            if let Some(ns) = base.get("p50_ns").and_then(Json::as_u64) {
+                let label = format!("grid {}x{} p50", c.docs, c.threads);
+                gate.latency(&label, ns, c.p50.as_nanos() as u64);
+            }
+            if let Some(rate) = base.get("edits_per_sec").and_then(Json::as_f64) {
+                let label = format!("grid {}x{} edits/s", c.docs, c.threads);
+                gate.rate(&label, rate, c.edits_per_sec);
+            }
         }
-    };
-    println!(
-        "\nregression gate vs {path} (tolerance {:.0}%):",
-        tolerance * 100.0
-    );
-    let mut ok = true;
-    let gated = std::cell::Cell::new(0usize);
-    let check_latency = |label: &str, base_ns: u64, now: Duration| {
-        let now_ns = now.as_nanos() as u64;
-        let delta = (now_ns as f64 / (base_ns as f64).max(1.0) - 1.0) * 100.0;
-        if base_ns < GATE_NOISE_FLOOR_NS {
-            println!("  {label}: {base_ns}ns -> {now_ns}ns ({delta:+.0}%) [sub-noise, not gated]");
-            return true;
+        let read = doc.get("read_mostly").and_then(Json::as_arr);
+        for c in read_cells {
+            let Some(base) = read.and_then(|rows| {
+                rows.iter()
+                    .find(|r| r.get("threads").and_then(Json::as_u64) == Some(c.threads as u64))
+            }) else {
+                gate.skip(&format!("read-mostly x{}", c.threads), "no baseline row");
+                continue;
+            };
+            if let Some(ns) = base.get("query_p50_ns").and_then(Json::as_u64) {
+                let label = format!("read-mostly x{} query p50", c.threads);
+                gate.latency(&label, ns, c.query_p50.as_nanos() as u64);
+            }
+            if let Some(rate) = base.get("ops_per_sec").and_then(Json::as_f64) {
+                let label = format!("read-mostly x{} ops/s", c.threads);
+                gate.rate(&label, rate, c.ops_per_sec);
+            }
         }
-        gated.set(gated.get() + 1);
-        if delta > tolerance * 100.0 {
-            eprintln!("  {label}: {base_ns}ns -> {now_ns}ns ({delta:+.0}%) REGRESSION");
-            false
-        } else {
-            println!("  {label}: {base_ns}ns -> {now_ns}ns ({delta:+.0}%) ok");
-            true
-        }
-    };
-    let check_rate = |label: &str, base: f64, now: f64| {
-        let delta = (now / base.max(1e-9) - 1.0) * 100.0;
-        gated.set(gated.get() + 1);
-        if now < base * (1.0 - tolerance) {
-            eprintln!("  {label}: {base:.0}/s -> {now:.0}/s ({delta:+.0}%) REGRESSION");
-            false
-        } else {
-            println!("  {label}: {base:.0}/s -> {now:.0}/s ({delta:+.0}%) ok");
-            true
-        }
-    };
-    let grid = doc.get("grid").and_then(Json::as_arr);
-    for c in cells {
-        let Some(base) = grid.and_then(|rows| {
-            rows.iter().find(|r| {
-                r.get("docs").and_then(Json::as_u64) == Some(c.docs as u64)
-                    && r.get("threads").and_then(Json::as_u64) == Some(c.threads as u64)
-            })
-        }) else {
-            println!("  grid {}x{}: no baseline row — skipped", c.docs, c.threads);
-            continue;
-        };
-        let label = format!("grid {}x{} p50", c.docs, c.threads);
-        if let Some(ns) = base.get("p50_ns").and_then(Json::as_u64) {
-            ok &= check_latency(&label, ns, c.p50);
-        }
-        let label = format!("grid {}x{} edits/s", c.docs, c.threads);
-        if let Some(rate) = base.get("edits_per_sec").and_then(Json::as_f64) {
-            ok &= check_rate(&label, rate, c.edits_per_sec);
-        }
-    }
-    let read = doc.get("read_mostly").and_then(Json::as_arr);
-    for c in read_cells {
-        let Some(base) = read.and_then(|rows| {
-            rows.iter()
-                .find(|r| r.get("threads").and_then(Json::as_u64) == Some(c.threads as u64))
-        }) else {
-            println!("  read-mostly x{}: no baseline row — skipped", c.threads);
-            continue;
-        };
-        let label = format!("read-mostly x{} query p50", c.threads);
-        if let Some(ns) = base.get("query_p50_ns").and_then(Json::as_u64) {
-            ok &= check_latency(&label, ns, c.query_p50);
-        }
-        let label = format!("read-mostly x{} ops/s", c.threads);
-        if let Some(rate) = base.get("ops_per_sec").and_then(Json::as_f64) {
-            ok &= check_rate(&label, rate, c.ops_per_sec);
-        }
-    }
-    if gated.get() == 0 {
-        eprintln!("regression gate: nothing cleared the noise floor — stale baseline?");
-        return false;
-    }
-    ok
+    })
 }
 
 /// One grid cell: a fresh workspace, the documents opened, the scripts

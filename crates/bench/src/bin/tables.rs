@@ -27,6 +27,7 @@
 //! slowed by more than `--tolerance <fraction>` (default 0.25).
 
 use std::time::Instant;
+use wg_bench::gate::{Baseline, GateArgs};
 use wg_bench::json::Json;
 use wg_bench::{fmt_dur, print_table, time_once, tokenize};
 use wg_core::IglrParser;
@@ -35,10 +36,6 @@ use wg_grammar::{Grammar, GrammarDelta, Symbol};
 use wg_langs::generate::{c_program, GenSpec};
 use wg_langs::{simp_c, simp_c_det, simp_cpp, simp_modula};
 use wg_lrtable::{lr1_metrics, LrTable, RefTable, TableKind};
-
-/// Baselines below this are timing noise on shared runners; reported but
-/// never gated (same floor as the other bench gates).
-const GATE_NOISE_FLOOR_NS: u64 = 2_000;
 
 /// One grammar's packed-vs-naive measurement for `BENCH_tables.json`.
 struct PackedRow {
@@ -138,26 +135,38 @@ fn incr_update_report(name: &str, g: &Grammar) -> IncrRow {
     let (_, ng, map) = &runs[candidates / 2];
 
     // Re-time the median candidate for the recorded (and gated) numbers.
-    let mut samples = Vec::new();
+    // Update and rebuild samples alternate, so a drift in host speed
+    // during the measurement moves both medians alike and their ratio
+    // (the speedup floor) reads through it. Each timed sample follows an
+    // untimed run of the same operation: right after a rebuild an update
+    // runs on caches the rebuild evicted, which would charge the update
+    // for its neighbour.
+    let update = || {
+        let t = Instant::now();
+        let (_, stats) = table.update(g, ng, map).expect("update succeeds");
+        (t.elapsed().as_nanos() as u64, stats)
+    };
+    let rebuild = || {
+        let t = Instant::now();
+        let rebuilt = LrTable::build(ng, TableKind::Lalr);
+        let ns = t.elapsed().as_nanos() as u64;
+        assert!(rebuilt.num_states() > 0);
+        ns
+    };
+    let mut update_samples = Vec::new();
+    let mut rebuild_samples = Vec::new();
     let mut stats = None;
     for _ in 0..9 {
-        let t = Instant::now();
-        let (_, s) = table.update(g, ng, map).expect("update succeeds");
-        samples.push(t.elapsed().as_nanos() as u64);
+        update();
+        let (ns, s) = update();
+        update_samples.push(ns);
         stats = Some(s);
+        rebuild();
+        rebuild_samples.push(rebuild());
     }
     let stats = stats.expect("timed at least one update");
-    let update_ns = median_ns(samples);
-    let rebuild_ns = median_ns(
-        (0..5)
-            .map(|_| {
-                let t = Instant::now();
-                let rebuilt = LrTable::build(ng, TableKind::Lalr);
-                assert!(rebuilt.num_states() > 0);
-                t.elapsed().as_nanos() as u64
-            })
-            .collect(),
-    );
+    let update_ns = median_ns(update_samples);
+    let rebuild_ns = median_ns(rebuild_samples);
     IncrRow {
         name: name.to_string(),
         states: stats.states,
@@ -214,89 +223,38 @@ fn write_tables_json(path: &str, rows: &[PackedRow], incr: &[IncrRow]) {
     }
 }
 
-/// Compares fresh incremental-update medians against the committed
-/// `BENCH_tables.json`; returns `false` when a gated row slowed past the
-/// tolerance. Sub-noise-floor baselines are reported but never gated.
-fn regression_gate(path: &str, baseline: &str, fresh: &[IncrRow], tolerance: f64) -> bool {
-    let doc = match Json::parse(baseline) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("regression gate: {path} is not valid JSON: {e}");
-            return false;
-        }
-    };
-    let Some(rows) = doc.get("incremental").and_then(Json::as_arr) else {
-        eprintln!("regression gate: {path} has no \"incremental\" array — stale baseline");
-        return false;
-    };
-    println!(
-        "\nregression gate vs {path} (tolerance +{:.0}%):",
-        tolerance * 100.0
-    );
-    let mut ok = true;
-    for r in fresh {
-        let Some(base) = rows
-            .iter()
-            .find(|b| b.get("name").and_then(Json::as_str) == Some(&r.name))
-        else {
-            println!("  {}: no baseline row — skipped", r.name);
-            continue;
+/// Gates the fresh incremental-update medians against the committed
+/// `BENCH_tables.json`.
+fn regression_gate(baseline: &Baseline, fresh: &[IncrRow]) -> bool {
+    baseline.check(|doc, gate| {
+        let Some(rows) = gate.rows(doc, "incremental") else {
+            return;
         };
-        let Some(base_ns) = base.get("update_ns").and_then(Json::as_u64) else {
-            println!("  {}: baseline has no update_ns — skipped", r.name);
-            continue;
-        };
-        let delta = (r.update_ns as f64 / (base_ns as f64).max(1.0) - 1.0) * 100.0;
-        if base_ns < GATE_NOISE_FLOOR_NS {
-            println!(
-                "  {} update: {base_ns}ns -> {}ns ({delta:+.0}%) [sub-{}µs baseline, not gated]",
-                r.name,
-                r.update_ns,
-                GATE_NOISE_FLOOR_NS / 1_000,
-            );
-            continue;
+        for r in fresh {
+            let Some(base) = rows
+                .iter()
+                .find(|b| b.get("name").and_then(Json::as_str) == Some(&r.name))
+            else {
+                gate.skip(&r.name, "no baseline row");
+                continue;
+            };
+            match base.get("update_ns").and_then(Json::as_u64) {
+                Some(base_ns) => gate.latency(&format!("{} update", r.name), base_ns, r.update_ns),
+                None => gate.skip(&r.name, "baseline has no update_ns"),
+            }
         }
-        if delta > tolerance * 100.0 {
-            eprintln!(
-                "  {} update: {base_ns}ns -> {}ns ({delta:+.0}%) REGRESSION",
-                r.name, r.update_ns
-            );
-            ok = false;
-        } else {
-            println!(
-                "  {} update: {base_ns}ns -> {}ns ({delta:+.0}%) ok",
-                r.name, r.update_ns
-            );
-        }
-    }
-    ok
+    })
 }
 
 fn main() {
-    let mut check_against: Option<String> = None;
-    let mut tolerance = 0.25f64;
+    let mut gate_args = GateArgs::default();
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--check-against" => {
-                check_against = Some(it.next().expect("--check-against needs a path"));
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--tolerance needs a fraction, e.g. 0.25");
-            }
-            other => panic!("unknown flag {other}"),
+        if !gate_args.parse_flag(&a, &mut it) {
+            panic!("unknown flag {a}");
         }
     }
-    // Read the baseline up front: the gate may point at the very file this
-    // run overwrites at the end.
-    let baseline = check_against.map(|path| {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-        (path, text)
-    });
+    let baseline = gate_args.load();
 
     let grammars: Vec<(&str, wg_grammar::Grammar)> = vec![
         ("simp_c", simp_c().grammar().clone()),
@@ -475,10 +433,7 @@ fn main() {
         }
     }
 
-    let gate_ok = match &baseline {
-        Some((path, text)) => regression_gate(path, text, &incr, tolerance),
-        None => true,
-    };
+    let gate_ok = baseline.as_ref().is_none_or(|b| regression_gate(b, &incr));
 
     write_tables_json("BENCH_tables.json", &packed, &incr);
     if !floors_ok || !gate_ok {

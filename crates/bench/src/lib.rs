@@ -5,6 +5,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod gate;
 pub mod json;
 
 use std::time::{Duration, Instant};

@@ -1,11 +1,17 @@
-//! The incremental GLR parsing algorithm (Appendix A of the paper).
+//! The incremental GLR parsing algorithm (Appendix A of the paper) — the
+//! one GLR driver. Rekers' batch GLR is the same algorithm with a different
+//! input: a batch parse runs over an input stream of fresh terminals (an
+//! empty previous tree), so only the shift phase ever sees subtrees.
 
 use std::fmt;
 use wg_dag::{
     rebalance_sequences, unshare_epsilon, DagArena, FxHashMap, FxHashSet, InputStream, NodeId,
     NodeKind, ParseState,
 };
-use wg_glr::{ps, same_derivation, Gss, GssIdx, Link, MergeTables, ParseScratch, TablePolicy};
+use wg_glr::{
+    build_reduction_node, ps, same_derivation, Gss, GssIdx, Link, MergeTables, ParseScratch,
+    TablePolicy,
+};
 use wg_grammar::{Grammar, NonTerminal, ProdId, Terminal};
 use wg_lrtable::{Action, LrTable, StateId};
 
@@ -67,6 +73,37 @@ pub struct IglrRunStats {
 /// like the deterministic incremental parser; conflicted table cells fork
 /// parsers, whose joint stacks live in a transient GSS, and surviving
 /// interpretations merge under symbol nodes in the dag.
+///
+/// # Example
+///
+/// ```
+/// use wg_core::IglrParser;
+/// use wg_dag::DagArena;
+/// use wg_grammar::{GrammarBuilder, Symbol};
+/// use wg_lrtable::{LrTable, TableKind};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // An ambiguous grammar: E -> E + E | num.
+/// let mut b = GrammarBuilder::new("amb");
+/// let plus = b.terminal("+");
+/// let num = b.terminal("num");
+/// let e = b.nonterminal("E");
+/// b.prod(e, vec![Symbol::N(e), Symbol::T(plus), Symbol::N(e)]);
+/// b.prod(e, vec![Symbol::T(num)]);
+/// b.start(e);
+/// let g = b.build()?;
+/// let table = LrTable::build(&g, TableKind::Lalr);
+///
+/// let parser = IglrParser::new(&g, &table);
+/// let mut arena = DagArena::new();
+/// let tokens = vec![(num, "1"), (plus, "+"), (num, "2"), (plus, "+"), (num, "3")];
+/// let root = parser.parse_tokens(&mut arena, tokens)?;
+/// // "1+2+3" has two parses; the dag holds one choice point.
+/// let stats = wg_dag::DagStats::compute(&arena, root);
+/// assert_eq!(stats.choice_points, 1);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct IglrParser<'a> {
     g: &'a Grammar,
@@ -81,6 +118,8 @@ impl<'a> IglrParser<'a> {
     }
 
     /// Batch-parses a fresh token sequence, returning the new super-root.
+    /// This is the batch parser: an IGLR parse with an empty previous tree,
+    /// over [`InputStream::over_terminals`].
     ///
     /// # Errors
     ///
@@ -292,7 +331,9 @@ struct IglrRun<'a> {
     accepting: Option<GssIdx>,
     /// The paper's `multipleStates` flag.
     multi: bool,
-    /// Proxy upgrades of the current round (see `wg_glr`).
+    /// Proxies upgraded to symbol nodes this round: reduction paths captured
+    /// before an upgrade must resolve through this map or they would re-use
+    /// the lone proxy and silently drop interpretations.
     forward: &'a mut FxHashMap<NodeId, NodeId>,
     /// Pooled flat storage for reduction-path kid lists.
     path_slab: &'a mut Vec<NodeId>,
@@ -343,6 +384,7 @@ impl IglrRun<'_> {
         }
     }
 
+    /// Resolves a dag node through any proxy upgrades of this round.
     fn resolve(&self, mut n: NodeId) -> NodeId {
         while let Some(&next) = self.forward.get(&n) {
             n = next;
@@ -350,9 +392,11 @@ impl IglrRun<'_> {
         n
     }
 
-    /// Re-queues the whole frontier after a new GSS link lands on an
-    /// already-processed node: other parsers' reduction paths may traverse
-    /// it (mirrors the batch GLR reducer's fix). Idempotent via `queued`.
+    /// Re-queues every parser in the current frontier for another actor
+    /// pass. Called when a reduction adds a new GSS link to a node that was
+    /// already processed: reduction paths of *other* parsers may traverse
+    /// that node, so re-activating only the link's owner would drop
+    /// interpretations. Idempotent per round via `queued`.
     fn reactivate_frontier(&mut self) {
         for i in 0..self.active.len() {
             let m = self.active[i];
@@ -448,12 +492,12 @@ impl IglrRun<'_> {
         if let Some(p) = target {
             if self.gss.find_link(p, q).is_some() {
                 // Re-derivation of an existing edge: take the general path,
-                // reusing the goto and merge-target already computed.
-                self.stats.reductions += 1;
+                // reusing the goto and merge-target already computed. The
+                // reduction was counted above, once.
                 self.reduce_general(arena, q, rule, off, len, lhs, goto, target);
                 return;
             }
-            let node = wg_glr::build_reduction_node(
+            let node = build_reduction_node(
                 arena,
                 self.g,
                 rule,
@@ -467,7 +511,7 @@ impl IglrRun<'_> {
                 self.queued.insert(p);
             }
         } else {
-            let node = wg_glr::build_reduction_node(
+            let node = build_reduction_node(
                 arena,
                 self.g,
                 rule,
@@ -482,11 +526,13 @@ impl IglrRun<'_> {
         }
     }
 
+    /// Appendix A's `reducer`: performs one reduction from GSS node `q`.
     fn reducer(&mut self, arena: &mut DagArena, q: GssIdx, rule: ProdId, off: u32, len: u32) {
         self.stats.reductions += 1;
         let lhs = self.g.production(rule).lhs();
         let Some(goto) = self.table.goto(self.gss.state(q), lhs) else {
-            return; // dead fork
+            // A conflicting fork reduced into a dead end; it simply dies.
+            return;
         };
         let target = self
             .active
@@ -527,15 +573,17 @@ impl IglrRun<'_> {
 
         if let Some(p) = target {
             if let Some(pos) = self.gss.find_link(p, q) {
+                // Local ambiguity packing into the existing link.
                 let label = self.resolve(self.gss.links(p)[pos].node);
                 if label == node {
-                    return;
+                    return; // idempotent re-derivation
                 }
                 // A re-derivation from a previous round (or the fast path)
                 // is not in this round's merge tables, so `node` can be a
                 // fresh instance — fresh ε subtrees included — of a
-                // derivation the forest already holds. Structural
-                // comparison keeps it out (see the batch GLR reducer).
+                // derivation the forest already holds, which defeats plain
+                // kid-identity comparison. Structural comparison keeps it
+                // from being packed as spurious ambiguity.
                 if same_derivation(arena, label, rule, &self.path_slab[range.clone()]) {
                     return;
                 }
@@ -567,10 +615,13 @@ impl IglrRun<'_> {
                         node: label,
                     },
                 );
-                // A new link can enable reduction paths for any parser
-                // whose paths traverse `p`, not just `p` itself (trailing
-                // ε-chains; see the batch GLR reducer). Re-activate the
-                // whole frontier; re-derivations are no-ops.
+                // The new link can enable reduction paths not just for `p`
+                // but for any parser whose paths run *through* `p` (Rekers'
+                // limited reducer re-runs those through the new link; e.g.
+                // trailing ε-reductions in `N -> A A A; A -> x | ε`, where
+                // the (x, ε, ε) alternative only appears once the ε-chain
+                // links exist). Re-activate the whole frontier — the merge
+                // tables and choice packing make re-derivations no-ops.
                 self.reactivate_frontier();
             }
         } else {
@@ -662,7 +713,7 @@ impl IglrRun<'_> {
     }
 
     /// Shifts one terminal node for every pending (parser, state) pair;
-    /// parsers landing in the same state merge (as in batch GLR).
+    /// parsers landing in the same state merge.
     fn shift_terminal(&mut self, node: NodeId) {
         self.active.clear();
         for i in 0..self.for_shifter.len() {
@@ -697,7 +748,7 @@ impl IglrRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wg_dag::{structurally_equal, yield_string, DagStats};
+    use wg_dag::{structurally_equal, yield_string, yield_terminals, DagStats};
     use wg_grammar::{GrammarBuilder, SeqKind, Symbol};
     use wg_lrtable::TableKind;
 
@@ -711,6 +762,30 @@ mod tests {
             let table = LrTable::build(&g, TableKind::Lalr);
             Lang { g, table }
         }
+
+        /// Batch-parses words that are terminal names (each its own lexeme).
+        fn parse(&self, words: &[&str]) -> Result<(DagArena, NodeId), IglrError> {
+            let mut arena = DagArena::new();
+            let toks: Vec<(Terminal, &str)> = words
+                .iter()
+                .map(|w| (self.g.terminal_by_name(w).expect("known terminal"), *w))
+                .collect();
+            let root = IglrParser::new(&self.g, &self.table).parse_tokens(&mut arena, toks)?;
+            Ok((arena, root))
+        }
+    }
+
+    fn paren_lang() -> Lang {
+        // S -> ( S ) | x
+        let mut b = GrammarBuilder::new("paren");
+        let lp = b.terminal("(");
+        let rp = b.terminal(")");
+        let x = b.terminal("x");
+        let s = b.nonterminal("S");
+        b.prod(s, vec![Symbol::T(lp), Symbol::N(s), Symbol::T(rp)]);
+        b.prod(s, vec![Symbol::T(x)]);
+        b.start(s);
+        Lang::build(b.build().unwrap())
     }
 
     fn amb_expr() -> Lang {
@@ -750,39 +825,120 @@ mod tests {
             .collect()
     }
 
-    fn collect_terminals(arena: &DagArena, root: NodeId) -> Vec<NodeId> {
-        fn rec(a: &DagArena, n: NodeId, out: &mut Vec<NodeId>) {
-            match a.kind(n) {
-                NodeKind::Terminal { .. } => out.push(n),
-                NodeKind::Bos | NodeKind::Eos => {}
-                NodeKind::Symbol { .. } => rec(a, a.kids(n)[0], out),
-                _ => {
-                    for &k in a.kids(n) {
-                        rec(a, k, out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        rec(arena, root, &mut out);
-        out
+    #[test]
+    fn batch_parse_matches_reparse_of_itself() {
+        // The batch forest equals what the reuse path rebuilds from it when
+        // the middle token is replaced by an equal fresh one.
+        let lang = amb_expr();
+        let iglr = IglrParser::new(&lang.g, &lang.table);
+        let tokens = tok(&lang, &["1", "+", "2", "+", "3"]);
+        let mut arena = DagArena::new();
+        let root = iglr.parse_tokens(&mut arena, tokens.clone()).unwrap();
+        let stats = DagStats::compute(&arena, root);
+        assert_eq!(stats.choice_points, 1, "one two-way ambiguity");
+        assert_eq!(stats.alternatives, 2);
+
+        let terms = yield_terminals(&arena, root);
+        let num = lang.g.terminal_by_name("num").unwrap();
+        let fresh = arena.terminal(num, "2");
+        arena.mark_changed(terms[2]);
+        arena.mark_following(terms[1]);
+        let mut reps = FxHashMap::default();
+        reps.insert(terms[2], vec![fresh]);
+        iglr.reparse(&mut arena, root, reps, &[]).unwrap();
+        arena.clear_changes();
+
+        let mut ref_arena = DagArena::new();
+        let ref_root = iglr.parse_tokens(&mut ref_arena, tokens).unwrap();
+        assert!(structurally_equal(&arena, root, &ref_arena, ref_root));
     }
 
     #[test]
-    fn batch_parse_matches_batch_glr() {
-        let lang = amb_expr();
-        let tokens = tok(&lang, &["1", "+", "2", "+", "3"]);
-        let mut a1 = DagArena::new();
-        let iglr = IglrParser::new(&lang.g, &lang.table);
-        let r1 = iglr.parse_tokens(&mut a1, tokens.clone()).unwrap();
-        let mut a2 = DagArena::new();
-        let glr = wg_glr::GlrParser::new(&lang.g, &lang.table);
-        let r2 = glr.parse(&mut a2, tokens).unwrap();
-        assert!(
-            structurally_equal(&a1, r1, &a2, r2),
-            "IGLR from scratch must equal batch GLR"
-        );
-        assert_eq!(DagStats::compute(&a1, r1).choice_points, 1);
+    fn deterministic_parse_builds_plain_tree() {
+        let (arena, root) = paren_lang().parse(&["(", "(", "x", ")", ")"]).unwrap();
+        assert_eq!(yield_string(&arena, root), "( ( x ) )");
+        let stats = DagStats::compute(&arena, root);
+        assert_eq!(stats.choice_points, 0);
+        assert_eq!(stats.space_overhead_percent(), 0.0);
+        // Every interior node carries a deterministic state.
+        fn check(a: &DagArena, n: NodeId) {
+            if matches!(a.kind(n), NodeKind::Production { .. }) {
+                assert!(a.state(n).is_deterministic());
+            }
+            for &k in a.kids(n) {
+                check(a, k);
+            }
+        }
+        check(&arena, root);
+    }
+
+    #[test]
+    fn syntax_error_reports_position() {
+        let lang = paren_lang();
+        let x = lang.g.terminal_by_name("x").unwrap();
+        let err = lang.parse(&["(", "x", "x"]).unwrap_err();
+        assert_eq!(err.consumed, 2, "the offending token's index");
+        assert_eq!(err.terminal, x);
+        assert!(err.expected_names(&lang.g).contains(&")".to_string()));
+        let err = lang.parse(&["(", "x"]).unwrap_err();
+        assert_eq!(err.consumed, 2);
+        assert_eq!(err.terminal, Terminal::EOF, "unexpected end of input");
+        assert!(format!("{err}").contains("after 2 tokens"));
+    }
+
+    #[test]
+    fn deeper_ambiguity_counts_catalan() {
+        // num + num + num + num has 5 parses; local packing keeps the dag
+        // polynomial. Count embedded trees by choice-point expansion.
+        let (arena, root) = amb_expr()
+            .parse(&["num", "+", "num", "+", "num", "+", "num"])
+            .unwrap();
+        fn count_trees(a: &DagArena, n: NodeId) -> usize {
+            match a.kind(n) {
+                NodeKind::Symbol { .. } => a.kids(n).iter().map(|&k| count_trees(a, k)).sum(),
+                _ => a
+                    .kids(n)
+                    .iter()
+                    .map(|&k| count_trees(a, k))
+                    .product::<usize>()
+                    .max(1),
+            }
+        }
+        assert_eq!(count_trees(&arena, root), 5, "Catalan(3) = 5 parses");
+    }
+
+    #[test]
+    fn epsilon_productions_parse_and_unshare() {
+        // S -> A x A ; A -> ε — the two A instances must be distinct nodes.
+        let mut b = GrammarBuilder::new("eps");
+        let x = b.terminal("x");
+        let s = b.nonterminal("S");
+        let a_nt = b.nonterminal("A");
+        b.prod(s, vec![Symbol::N(a_nt), Symbol::T(x), Symbol::N(a_nt)]);
+        b.prod(a_nt, vec![]);
+        b.start(s);
+        let (arena, root) = Lang::build(b.build().unwrap()).parse(&["x"]).unwrap();
+        let body = arena.kids(root)[1];
+        let kids = arena.kids(body);
+        assert_eq!(kids.len(), 3);
+        assert_ne!(kids[0], kids[2], "ε instances duplicated (Section 3.5)");
+    }
+
+    #[test]
+    fn sequences_build_balanced_containers() {
+        let mut b = GrammarBuilder::new("seq");
+        let item = b.terminal("item");
+        let l = b.nonterminal("L");
+        b.sequence(l, Symbol::T(item), SeqKind::Plus, None);
+        b.start(l);
+        let input: Vec<&str> = std::iter::repeat_n("item", 100).collect();
+        let (arena, root) = Lang::build(b.build().unwrap()).parse(&input).unwrap();
+        assert_eq!(DagStats::compute(&arena, root).choice_points, 0);
+        let body = arena.kids(root)[1];
+        assert!(matches!(arena.kind(body), NodeKind::Sequence { .. }));
+        let d = wg_dag::sequence_depth(&arena, body);
+        assert!(d <= 10, "100-element sequence must be balanced, depth {d}");
+        assert_eq!(arena.width(body), 100);
     }
 
     #[test]
@@ -794,7 +950,7 @@ mod tests {
         let root = iglr.parse_tokens(&mut arena, tokens).unwrap();
 
         // Edit: change the middle number.
-        let terms = collect_terminals(&arena, root);
+        let terms = yield_terminals(&arena, root);
         let victim = terms[2];
         let num = lang.g.terminal_by_name("num").unwrap();
         let fresh = arena.terminal(num, "99");
@@ -828,7 +984,7 @@ mod tests {
         assert_eq!(arena.width(root), 600);
 
         // Rename one identifier in the middle.
-        let terms = collect_terminals(&arena, root);
+        let terms = yield_terminals(&arena, root);
         let victim = terms[300];
         let id = lang.g.terminal_by_name("id").unwrap();
         let fresh = arena.terminal(id, "renamed");
@@ -943,7 +1099,7 @@ mod tests {
         let root = iglr
             .parse_tokens(&mut arena, vec![(x, "x"), (z, "z"), (c, "c")])
             .unwrap();
-        let terms = collect_terminals(&arena, root);
+        let terms = yield_terminals(&arena, root);
         let victim = terms[2];
         let fresh = arena.terminal(e, "e");
         arena.mark_changed(victim);
@@ -970,7 +1126,7 @@ mod tests {
             .parse_tokens(&mut arena, tok(&lang, &["a", ";", "b", ";"]))
             .unwrap();
         let before = yield_string(&arena, root);
-        let terms = collect_terminals(&arena, root);
+        let terms = yield_terminals(&arena, root);
         let semi = lang.g.terminal_by_name(";").unwrap();
         let fresh = arena.terminal(semi, ";");
         arena.mark_changed(terms[0]);
@@ -997,7 +1153,7 @@ mod tests {
 
         let id = lang.g.terminal_by_name("id").unwrap();
         for round in 0..3 {
-            let terms = collect_terminals(&arena, root);
+            let terms = yield_terminals(&arena, root);
             let victim = terms[20];
             let fresh = arena.terminal(id, "tmp");
             arena.mark_changed(victim);
@@ -1007,7 +1163,7 @@ mod tests {
             iglr.reparse(&mut arena, root, reps, &[]).unwrap();
             arena.clear_changes();
 
-            let terms = collect_terminals(&arena, root);
+            let terms = yield_terminals(&arena, root);
             let victim = terms[20];
             let back = arena.terminal(id, "v10");
             arena.mark_changed(victim);
@@ -1030,7 +1186,7 @@ mod tests {
             .unwrap();
         let mut fresh_after_warmup = 0;
         for i in 0..20 {
-            let terms = collect_terminals(&arena, root);
+            let terms = yield_terminals(&arena, root);
             let id = lang.g.terminal_by_name("id").unwrap();
             let fresh = arena.terminal(id, if i % 2 == 0 { "q" } else { "a" });
             arena.mark_changed(terms[0]);

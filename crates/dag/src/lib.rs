@@ -45,5 +45,7 @@ pub use sequence::{rebalance_sequences, rebalance_sequences_full, sequence_depth
 pub use share::unshare_epsilon;
 pub use snapshot::{DagRead, DagSnapshot};
 pub use stats::DagStats;
-pub use traverse::{descendants, dump, structurally_equal, yield_string, Descendants};
+pub use traverse::{
+    descendants, dump, structurally_equal, yield_string, yield_terminals, Descendants,
+};
 pub use wg_grammar::fx::{fx_hash, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};

@@ -12,10 +12,11 @@
 //!   *refuse*, not loop on).
 //! * **Random documents** derived from each grammar, and **random edit
 //!   scripts** over those documents.
-//! * **Differential oracles** ([`check_case`]): batch GLR ≡ batch-mode IGLR
-//!   (same forest), GLR ≡ Earley (acceptance and parse count), GLR ≡ the
-//!   deterministic incremental parser on conflict-free tables, incremental
-//!   reparse ≡ from-scratch parse after every edit, and the packed
+//! * **Differential oracles** ([`check_case`]): batch GLR ≡ Earley
+//!   (acceptance and parse count), batch GLR ≡ the deterministic incremental
+//!   parser on conflict-free tables, a fresh parse ≡ a reparse of its own
+//!   tree (the one GLR engine's fresh and reuse paths), incremental reparse
+//!   ≡ from-scratch parse after every edit, and the packed
 //!   [`wg_lrtable::LrTable`] ≡ the naive [`wg_lrtable::RefTable`] on every
 //!   cell.
 //!
@@ -32,9 +33,8 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
 use wg_core::{IglrParser, Session, SessionConfig};
-use wg_dag::{structurally_equal, DagArena, NodeId, NodeKind};
+use wg_dag::{structurally_equal, yield_terminals, DagArena, FxHashMap, NodeId, NodeKind};
 use wg_earley::EarleyParser;
-use wg_glr::GlrParser;
 use wg_grammar::{Grammar, GrammarBuilder, GrammarDelta, NonTerminal, Symbol, Terminal};
 use wg_lexer::LexerDef;
 use wg_lrtable::{LrTable, RefTable, StateId, TableBuildError, TableKind};
@@ -693,9 +693,10 @@ fn check_delta_chain(case: &Case, base_g: &Grammar, base_t: &LrTable) -> Result<
 ///
 /// Stages (each a potential [`Divergence::stage`]):
 /// `grammar-build`, `table-build`, `packed-vs-ref`, `incr-table`,
-/// `doc-tokens`, `glr-vs-earley-acceptance`, `glr-vs-iglr`,
+/// `doc-tokens`, `glr-vs-earley-acceptance`, `fresh-vs-reuse`,
 /// `glr-vs-earley-count`, `sentential`, `session`,
-/// `incremental-vs-batch`.
+/// `incremental-vs-batch`. The batch GLR forest the `glr-*` and
+/// `sentential` stages read is the [`IglrParser`]'s batch parse.
 ///
 /// Grammars with precedence declarations skip the Earley comparisons:
 /// precedence changes the *language* of the table-driven parsers (that is
@@ -729,10 +730,12 @@ pub fn check_case(case: &Case) -> Result<CaseOutcome, Divergence> {
     let pairs: Vec<(Terminal, &str)> = toks.iter().map(|&t| (t, g.terminal_name(t))).collect();
     let has_prec = !case.assoc.is_empty();
 
-    let glr = GlrParser::new(&g, &table);
-    let mut glr_arena = DagArena::new();
-    let glr_root = glr.parse(&mut glr_arena, pairs.iter().copied()).ok();
-    outcome.accepted = glr_root.is_some();
+    let iglr = IglrParser::new(&g, &table);
+    let mut batch_arena = DagArena::new();
+    let batch_root = iglr
+        .parse_tokens(&mut batch_arena, pairs.iter().copied())
+        .ok();
+    outcome.accepted = batch_root.is_some();
 
     let earley = EarleyParser::new(&g);
     if !has_prec && earley.recognize(&toks) != outcome.accepted {
@@ -742,23 +745,10 @@ pub fn check_case(case: &Case) -> Result<CaseOutcome, Divergence> {
         ));
     }
 
-    let iglr = IglrParser::new(&g, &table);
-    let mut iglr_arena = DagArena::new();
-    let iglr_root = iglr
-        .parse_tokens(&mut iglr_arena, pairs.iter().copied())
-        .ok();
-    if iglr_root.is_some() != outcome.accepted {
-        return Err(diverge("glr-vs-iglr", "acceptance differs"));
-    }
-    if let (Some(r1), Some(r2)) = (glr_root, iglr_root) {
-        if !forests_equal(&glr_arena, r1, &iglr_arena, r2) {
-            return Err(diverge("glr-vs-iglr", "forests differ structurally"));
-        }
-    }
-
-    if let Some(root) = glr_root {
+    if let Some(root) = batch_root {
+        fresh_vs_reuse(&iglr, &pairs, &batch_arena, root)?;
         if !has_prec && toks.len() <= 24 {
-            let dag_n = dag_parse_count(&glr_arena, root);
+            let dag_n = dag_parse_count(&batch_arena, root);
             let earley_n = earley.count_parses(&toks, g.start()) as u64;
             if dag_n != earley_n {
                 return Err(diverge(
@@ -778,8 +768,8 @@ pub fn check_case(case: &Case) -> Result<CaseOutcome, Divergence> {
         if det_root.is_some() != outcome.accepted {
             return Err(diverge("sentential", "acceptance differs from GLR"));
         }
-        if let (Some(r1), Some(r2)) = (glr_root, det_root) {
-            if !forests_equal(&glr_arena, r1, &det_arena, r2) {
+        if let (Some(r1), Some(r2)) = (batch_root, det_root) {
+            if !forests_equal(&batch_arena, r1, &det_arena, r2) {
                 return Err(diverge("sentential", "tree differs from GLR"));
             }
         }
@@ -789,6 +779,49 @@ pub fn check_case(case: &Case) -> Result<CaseOutcome, Divergence> {
         outcome.edits_replayed = replay_incremental(case, outcome.accepted)?;
     }
     Ok(outcome)
+}
+
+/// Parses the document fresh, replaces its middle terminal with an equal
+/// fresh terminal, and reparses over that tree: the reuse path of the GLR
+/// engine must rebuild exactly the forest of the fresh parse `reference`.
+fn fresh_vs_reuse(
+    iglr: &IglrParser<'_>,
+    pairs: &[(Terminal, &str)],
+    reference: &DagArena,
+    ref_root: NodeId,
+) -> Result<(), Divergence> {
+    let mut arena = DagArena::new();
+    let root = iglr
+        .parse_tokens(&mut arena, pairs.iter().copied())
+        .map_err(|e| diverge("fresh-vs-reuse", format!("second fresh parse fails: {e}")))?;
+    let terms = yield_terminals(&arena, root);
+    if terms.is_empty() {
+        return Ok(());
+    }
+    let mid = terms.len() / 2;
+    let victim = terms[mid];
+    let (term, lexeme) = pairs[mid];
+    let fresh = arena.terminal(term, lexeme);
+    arena.mark_changed(victim);
+    if mid > 0 {
+        arena.mark_following(terms[mid - 1]);
+    }
+    let mut reps = FxHashMap::default();
+    reps.insert(victim, vec![fresh]);
+    iglr.reparse(&mut arena, root, reps, &[]).map_err(|e| {
+        diverge(
+            "fresh-vs-reuse",
+            format!("reparse rejects its own tree: {e}"),
+        )
+    })?;
+    arena.clear_changes();
+    if !forests_equal(&arena, root, reference, ref_root) {
+        return Err(diverge(
+            "fresh-vs-reuse",
+            "reparse forest differs from the fresh parse",
+        ));
+    }
+    Ok(())
 }
 
 /// Replays the case's edit script through a live [`Session`], comparing

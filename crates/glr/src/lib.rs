@@ -1,4 +1,4 @@
-//! Batch generalized-LR parsing (Section 3.1) producing abstract parse dags.
+//! The generalized-LR machinery (Section 3.1) behind the IGLR parser.
 //!
 //! A GLR parser drives conflict-preserving LR tables breadth-first: where a
 //! table cell holds several actions the parser forks, and the combined
@@ -7,56 +7,30 @@
 //! *local ambiguity packing*: interpretations with the same yield merge
 //! under a symbol (choice) node in the resulting abstract parse dag.
 //!
-//! This crate is the foundation the incremental parser (`wg-core`) builds
-//! on: it owns the GSS, the per-round merge tables that give the dag its
-//! optimal sharing (Section 3.5), and the reduction-node builder that
-//! represents declared sequences as balanced containers.
+//! This crate holds the parts of that machinery that are not the driver:
+//! the GSS, the per-round merge tables that give the dag its optimal
+//! sharing (Section 3.5), the reduction-node builder that represents
+//! declared sequences as balanced containers, the structural
+//! re-derivation test, the pooled per-run [`ParseScratch`], and the
+//! state annotations and [`TablePolicy`] shared with the deterministic
+//! parser. There is one GLR driver, `wg_core::IglrParser`: a batch parse
+//! is an incremental parse whose input stream holds terminals only
+//! (Appendix A's `parse_next_symbol` over a token stream).
 //!
 //! Unlike Ferro & Dion's incremental PDA simulator, the GSS here is a
 //! transient structure of the parser — the persistent program representation
 //! is the abstract parse dag alone, which is why unsuccessful forks cost no
 //! space after parsing (Section 3.5, Figure 2).
-//!
-//! # Example
-//!
-//! ```
-//! use wg_grammar::{GrammarBuilder, Symbol};
-//! use wg_lrtable::{LrTable, TableKind};
-//! use wg_glr::GlrParser;
-//! use wg_dag::DagArena;
-//!
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! // An ambiguous grammar: E -> E + E | num.
-//! let mut b = GrammarBuilder::new("amb");
-//! let plus = b.terminal("+");
-//! let num = b.terminal("num");
-//! let e = b.nonterminal("E");
-//! b.prod(e, vec![Symbol::N(e), Symbol::T(plus), Symbol::N(e)]);
-//! b.prod(e, vec![Symbol::T(num)]);
-//! b.start(e);
-//! let g = b.build()?;
-//! let table = LrTable::build(&g, TableKind::Lalr);
-//!
-//! let parser = GlrParser::new(&g, &table);
-//! let mut arena = DagArena::new();
-//! let tokens = vec![(num, "1"), (plus, "+"), (num, "2"), (plus, "+"), (num, "3")];
-//! let root = parser.parse(&mut arena, tokens.iter().map(|&(t, s)| (t, s)))?;
-//! // "1+2+3" has two parses; the dag holds one choice point.
-//! let stats = wg_dag::DagStats::compute(&arena, root);
-//! assert_eq!(stats.choice_points, 1);
-//! # Ok(())
-//! # }
-//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod gss;
 mod merge;
-mod parser;
+mod policy;
 mod scratch;
 
 pub use gss::{Gss, GssIdx, Link};
-pub use merge::{build_reduction_node, MergeTables};
-pub use parser::{ps, same_derivation, same_structure, sid, GlrParser, ParseError, TablePolicy};
+pub use merge::{build_reduction_node, same_derivation, same_structure, MergeTables};
+pub use policy::{ps, sid, TablePolicy};
 pub use scratch::ParseScratch;

@@ -1,5 +1,5 @@
 //! Per-round merge tables (Appendix A's `nodes` and `symbolnodes`) and the
-//! reduction-node builder shared by the batch and incremental parsers.
+//! reduction-node builder of the GLR parser.
 //!
 //! The merge tables implement the dag's *optimal sharing* (Section 3.5):
 //!
@@ -257,15 +257,13 @@ impl MergeTables {
             // A structurally identical re-derivation (fresh ε instances
             // from a different round defeat id comparison) must not pack
             // as spurious ambiguity.
-            Some(existing) if crate::parser::same_structure(arena, existing, node) => {
-                (existing, None)
-            }
+            Some(existing) if same_structure(arena, existing, node) => (existing, None),
             Some(existing) => {
                 if matches!(arena.kind(existing), NodeKind::Symbol { .. }) {
                     if arena
                         .kids(existing)
                         .iter()
-                        .any(|&alt| crate::parser::same_structure(arena, alt, node))
+                        .any(|&alt| same_structure(arena, alt, node))
                     {
                         return (existing, None);
                     }
@@ -282,6 +280,67 @@ impl MergeTables {
             }
         }
     }
+}
+
+/// Whether `cand` is a production node for `rule` over `kids` up to
+/// structural equality — the cross-round re-derivation test. Identical
+/// `NodeId`s short-circuit; only production spines are compared deeper,
+/// which bounds the walk to the freshly rebuilt (typically ε) fringe.
+pub fn same_derivation(arena: &DagArena, cand: NodeId, rule: ProdId, kids: &[NodeId]) -> bool {
+    match arena.kind(cand) {
+        NodeKind::Production { prod } if *prod == rule => {
+            let ck = arena.kids(cand);
+            let mut memo = FxHashMap::default();
+            ck.len() == kids.len()
+                && ck
+                    .iter()
+                    .zip(kids)
+                    .all(|(&a, &b)| same_structure_memo(arena, a, b, &mut memo))
+        }
+        _ => false,
+    }
+}
+
+/// Structural node equality: identical ids, or production nodes of the
+/// same rule with structurally equal kids. Distinct symbol/terminal nodes
+/// never compare equal (conservative — may miss a dedup, never invents
+/// one).
+pub fn same_structure(arena: &DagArena, a: NodeId, b: NodeId) -> bool {
+    let mut memo = FxHashMap::default();
+    same_structure_memo(arena, a, b, &mut memo)
+}
+
+/// [`same_structure`] with pairwise memoization. Production spines share
+/// subtrees heavily, so the naive recursion revisits the same
+/// distinct-but-equal pair exponentially often on ambiguous forests; the
+/// memo makes one comparison linear in the number of reachable node
+/// pairs. The memo is per top-level call because proxy upgrades mutate
+/// nodes in place between reductions.
+fn same_structure_memo(
+    arena: &DagArena,
+    a: NodeId,
+    b: NodeId,
+    memo: &mut FxHashMap<(NodeId, NodeId), bool>,
+) -> bool {
+    if a == b {
+        return true;
+    }
+    if let Some(&hit) = memo.get(&(a, b)) {
+        return hit;
+    }
+    let eq = match (arena.kind(a), arena.kind(b)) {
+        (NodeKind::Production { prod: pa }, NodeKind::Production { prod: pb }) if pa == pb => {
+            let (ka, kb) = (arena.kids(a), arena.kids(b));
+            ka.len() == kb.len()
+                && ka
+                    .iter()
+                    .zip(kb)
+                    .all(|(&x, &y)| same_structure_memo(arena, x, y, memo))
+        }
+        _ => false,
+    };
+    memo.insert((a, b), eq);
+    eq
 }
 
 /// Builds the dag node for a reduction, choosing the physical

@@ -1,9 +1,8 @@
 //! Pooled per-run parser state.
 //!
-//! Both the batch GLR driver and the incremental parser need the same
-//! transient machinery for one (re)parse: a GSS, the round-scoped merge
-//! tables, the active-parser and worklist vectors, and the proxy-upgrade
-//! forwarding map. Creating these afresh per parse makes every edit pay
+//! The GLR driver needs the same transient machinery for every (re)parse:
+//! a GSS, the round-scoped merge tables, the active-parser and worklist
+//! vectors, and the proxy-upgrade forwarding map. Creating these afresh per parse makes every edit pay
 //! allocation costs proportional to past parses; a [`ParseScratch`] owned by
 //! a long-lived session is instead *cleared* between runs, so the hot
 //! reparse path reaches a steady state with no allocation at all.
@@ -15,8 +14,7 @@ use wg_lrtable::StateId;
 
 /// Reusable scratch state for one GLR (re)parse.
 ///
-/// All fields are public so the drivers in this crate and in `wg-core` can
-/// split-borrow them; external callers should treat the contents as opaque
+/// All fields are public so the driver in `wg-core` can split-borrow them; external callers should treat the contents as opaque
 /// and only construct, [`ParseScratch::begin_run`], and inspect
 /// [`ParseScratch::fresh_allocs`].
 #[derive(Debug, Default)]

@@ -49,9 +49,10 @@
 use std::fmt;
 use wg_dag::{
     rebalance_sequences, unshare_epsilon, DagArena, FxHashMap, InputStream, NodeId, NodeKind,
-    ParseState, SequencePolicy,
+    ParseState,
 };
-use wg_grammar::{Grammar, NonTerminal, ProdId, ProdKind, Terminal};
+use wg_glr::TablePolicy;
+use wg_grammar::{Grammar, ProdId, Terminal};
 use wg_lrtable::{Action, LrTable, StateId};
 
 /// Errors from the deterministic incremental parser.
@@ -99,32 +100,6 @@ pub struct IncRunStats {
     pub reductions: usize,
     /// Subtrees decomposed because reuse failed.
     pub breakdowns: usize,
-}
-
-struct Policy<'a> {
-    g: &'a Grammar,
-    table: &'a LrTable,
-}
-
-impl SequencePolicy for Policy<'_> {
-    fn is_separated(&self, sym: NonTerminal) -> bool {
-        self.g.productions_for(sym).any(|p| {
-            self.g.production(p).kind() == ProdKind::SeqCons && self.g.production(p).arity() == 3
-        })
-    }
-    fn run_state(&self, seq_state: ParseState, sym: NonTerminal) -> Option<ParseState> {
-        if !seq_state.is_deterministic() {
-            return None;
-        }
-        self.table
-            .goto(StateId(seq_state.0), sym)
-            .map(|s| ParseState(s.0))
-    }
-
-    fn seq_prod_symbol(&self, prod: ProdId) -> Option<NonTerminal> {
-        let p = self.g.production(prod);
-        p.kind().is_sequence().then(|| p.lhs())
-    }
 }
 
 /// A deterministic, state-matching incremental LR parser.
@@ -215,7 +190,7 @@ impl<'a> IncLrParser<'a> {
         rebalance_sequences(
             arena,
             root,
-            &Policy {
+            &TablePolicy {
                 g: self.g,
                 table: self.table,
             },

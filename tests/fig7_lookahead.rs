@@ -3,9 +3,11 @@
 //! extended-lookahead region.
 
 use wg_core::IglrParser;
-use wg_dag::{structurally_equal, DagArena, DagStats, FxHashMap, NodeId, NodeKind, ParseState};
+use wg_dag::{
+    structurally_equal, yield_terminals, DagArena, DagStats, FxHashMap, NodeId, NodeKind,
+    ParseState,
+};
 use wg_earley::EarleyParser;
-use wg_glr::GlrParser;
 use wg_grammar::Grammar;
 use wg_langs::toys::fig7_lr2;
 use wg_lrtable::{LrTable, TableKind};
@@ -55,22 +57,44 @@ fn lookahead_use_is_recorded_in_nodes() {
     assert_eq!(DagStats::compute(&arena, root).choice_points, 0);
 }
 
+/// The three analyses — a batch parse, an incremental reparse that flips
+/// the final token of the other sentence, and Earley's derivation — build
+/// the same tree.
 #[test]
 fn all_three_parsers_agree_on_fig7() {
     let (g, table) = setup();
     let term = |n: &str| g.terminal_by_name(n).unwrap();
     let iglr = IglrParser::new(&g, &table);
-    let glr = GlrParser::new(&g, &table);
     let earley = EarleyParser::new(&g);
-    for words in [["x", "z", "c"], ["x", "z", "e"]] {
+    for (words, other) in [(["x", "z", "c"], "e"), (["x", "z", "e"], "c")] {
         let pairs: Vec<_> = words.iter().map(|w| (term(w), *w)).collect();
         let terms: Vec<_> = words.iter().map(|w| term(w)).collect();
         let mut a1 = DagArena::new();
         let r1 = iglr.parse_tokens(&mut a1, pairs.clone()).unwrap();
+
         let mut a2 = DagArena::new();
-        let r2 = glr.parse(&mut a2, pairs).unwrap();
+        let other_pairs = vec![pairs[0], pairs[1], (term(other), other)];
+        let r2 = iglr.parse_tokens(&mut a2, other_pairs).unwrap();
+        let prev = yield_terminals(&a2, r2);
+        let last = a2.terminal(pairs[2].0, pairs[2].1);
+        a2.mark_changed(prev[2]);
+        a2.mark_following(prev[1]);
+        let mut reps = FxHashMap::default();
+        reps.insert(prev[2], vec![last]);
+        iglr.reparse(&mut a2, r2, reps, &[]).unwrap();
+        a2.clear_changes();
         assert!(structurally_equal(&a1, r1, &a2, r2), "{words:?}");
-        assert!(earley.recognize(&terms));
+
+        let derivation = earley.first_parse(&terms).expect("Earley parses");
+        let mut shape = Vec::new();
+        let mut stack = vec![r1];
+        while let Some(n) = stack.pop() {
+            if let NodeKind::Production { prod } = a1.kind(n) {
+                shape.push(*prod);
+            }
+            stack.extend(a1.kids(n).iter().rev());
+        }
+        assert_eq!(shape, derivation.production_preorder(), "{words:?}");
     }
     // And they agree on rejection.
     let bad = [term("x"), term("z")];
@@ -95,7 +119,7 @@ fn edit_to_final_token_flips_interpretation_incrementally() {
         .unwrap();
 
     // Replace c with e: the whole region re-derives as D e.
-    let terms = leaves(&arena, root);
+    let terms = yield_terminals(&arena, root);
     let fresh = arena.terminal(term("e"), "e");
     arena.mark_changed(terms[2]);
     arena.mark_following(terms[1]);
@@ -124,7 +148,7 @@ fn edit_inside_lookahead_region_forces_atomic_reconstruction() {
             vec![(term("x"), "x"), (term("z"), "z"), (term("c"), "c")],
         )
         .unwrap();
-    let terms = leaves(&arena, root);
+    let terms = yield_terminals(&arena, root);
     let fresh = arena.terminal(term("x"), "x");
     arena.mark_changed(terms[0]);
     let mut reps = FxHashMap::default();
@@ -143,22 +167,4 @@ fn edit_inside_lookahead_region_forces_atomic_reconstruction() {
         )
         .unwrap();
     assert!(structurally_equal(&arena, root, &ref_arena, ref_root));
-}
-
-fn leaves(arena: &DagArena, root: NodeId) -> Vec<NodeId> {
-    let mut out = Vec::new();
-    fn rec(a: &DagArena, n: NodeId, out: &mut Vec<NodeId>) {
-        match a.kind(n) {
-            NodeKind::Terminal { .. } => out.push(n),
-            NodeKind::Bos | NodeKind::Eos => {}
-            NodeKind::Symbol { .. } => rec(a, a.kids(n)[0], out),
-            _ => {
-                for &k in a.kids(n) {
-                    rec(a, k, out);
-                }
-            }
-        }
-    }
-    rec(arena, root, &mut out);
-    out
 }

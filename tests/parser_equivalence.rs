@@ -1,33 +1,50 @@
-//! Cross-parser equivalence: the four analyses (batch GLR, batch-mode IGLR,
-//! deterministic incremental, Earley) must agree with each other on every
-//! input, and incremental reparsing must be indistinguishable from parsing
-//! from scratch. Exercised over generated programs and randomized edits.
+//! Cross-parser equivalence: the three analyses (batch GLR — the IGLR
+//! parser over a fresh token stream —, deterministic incremental, Earley)
+//! must agree with each other on every input, and incremental reparsing
+//! must be indistinguishable from parsing from scratch. Exercised over
+//! generated programs and randomized edits.
 
 use wg_bench::tokenize;
 use wg_core::{IglrParser, Session};
-use wg_dag::{structurally_equal, DagArena};
+use wg_dag::{structurally_equal, yield_terminals, DagArena, FxHashMap};
 use wg_earley::EarleyParser;
-use wg_glr::GlrParser;
 use wg_langs::generate::{c_program, edit_sites, GenSpec};
 use wg_langs::{simp_c, simp_c_det};
 use wg_sentential::IncLrParser;
 
+/// The batch GLR forest (a fresh parse) equals the forest the reuse path
+/// rebuilds when the middle token of the same program is replaced by an
+/// equal fresh token and the parser reparses over its own tree.
 #[test]
 fn batch_glr_equals_iglr_on_ambiguous_programs() {
     let cfg = simp_c();
+    let iglr = IglrParser::new(cfg.grammar(), cfg.table());
     for seed in 0..4 {
         let p = c_program(&GenSpec::sized(150, 0.06, seed));
         let tokens = tokenize(&cfg, &p.text);
         let pairs: Vec<_> = tokens.iter().map(|(t, s)| (*t, s.as_str())).collect();
-        let glr = GlrParser::new(cfg.grammar(), cfg.table());
-        let iglr = IglrParser::new(cfg.grammar(), cfg.table());
-        let mut a1 = DagArena::new();
-        let r1 = glr.parse(&mut a1, pairs.iter().copied()).unwrap();
-        let mut a2 = DagArena::new();
-        let r2 = iglr.parse_tokens(&mut a2, pairs.iter().copied()).unwrap();
+        let mut fresh = DagArena::new();
+        let r1 = iglr
+            .parse_tokens(&mut fresh, pairs.iter().copied())
+            .unwrap();
+
+        let mut reused = DagArena::new();
+        let r2 = iglr
+            .parse_tokens(&mut reused, pairs.iter().copied())
+            .unwrap();
+        let terms = yield_terminals(&reused, r2);
+        let mid = terms.len() / 2;
+        let (term, lexeme) = pairs[mid];
+        let same = reused.terminal(term, lexeme);
+        reused.mark_changed(terms[mid]);
+        reused.mark_following(terms[mid - 1]);
+        let mut reps = FxHashMap::default();
+        reps.insert(terms[mid], vec![same]);
+        iglr.reparse(&mut reused, r2, reps, &[]).unwrap();
+        reused.clear_changes();
         assert!(
-            structurally_equal(&a1, r1, &a2, r2),
-            "seed {seed}: batch GLR and IGLR diverge"
+            structurally_equal(&fresh, r1, &reused, r2),
+            "seed {seed}: fresh parse and reparse of its own tree diverge"
         );
     }
 }
@@ -177,9 +194,9 @@ fn earley_derivation_matches_glr_tree_shape() {
     let earley = EarleyParser::new(&g);
     let derivation = earley.first_parse(&terms).expect("parses");
 
-    let glr = GlrParser::new(&g, &table);
+    let glr = IglrParser::new(&g, &table);
     let mut arena = DagArena::new();
-    let root = glr.parse(&mut arena, pairs).unwrap();
+    let root = glr.parse_tokens(&mut arena, pairs).unwrap();
 
     // Preorder production fingerprint of the dag's (deterministic) tree.
     fn preorder(a: &DagArena, n: wg_dag::NodeId, out: &mut Vec<usize>) {
@@ -199,4 +216,71 @@ fn earley_derivation_matches_glr_tree_shape() {
         .collect();
     assert_eq!(glr_shape, earley_shape);
     assert_eq!(derivation.fringe(), terms);
+}
+
+/// Section 5's "identical operation counts": on a conflict-free grammar the
+/// IGLR parser shifts, reuses and reduces exactly as the deterministic
+/// incremental parser does, for a token change and for its undo. Each
+/// reduction is counted once, where it is performed.
+#[test]
+fn iglr_and_deterministic_operation_counts_are_identical() {
+    let cfg = simp_c_det();
+    let p = c_program(&GenSpec::sized(200, 0.0, 11));
+    let tokens = tokenize(&cfg, &p.text);
+    let pairs: Vec<_> = tokens.iter().map(|(t, s)| (*t, s.as_str())).collect();
+    let det = IncLrParser::new(cfg.grammar(), cfg.table()).unwrap();
+    let iglr = IglrParser::new(cfg.grammar(), cfg.table());
+    let mut det_arena = DagArena::new();
+    let det_root = det
+        .parse_tokens(&mut det_arena, pairs.iter().copied())
+        .unwrap();
+    let mut iglr_arena = DagArena::new();
+    let iglr_root = iglr
+        .parse_tokens(&mut iglr_arena, pairs.iter().copied())
+        .unwrap();
+
+    let site = (pairs.len() / 2..pairs.len())
+        .find(|&i| pairs[i].1.starts_with("var"))
+        .expect("an identifier past the midpoint");
+    let ident = pairs[site].0;
+    // Replaces the token at `site` by `lexeme` in one arena, marking damage
+    // as a session would.
+    let edit = |arena: &mut DagArena, root, lexeme: &str| {
+        let terms = yield_terminals(arena, root);
+        let fresh = arena.terminal(ident, lexeme);
+        arena.mark_changed(terms[site]);
+        arena.mark_following(terms[site - 1]);
+        let mut reps = FxHashMap::default();
+        reps.insert(terms[site], vec![fresh]);
+        reps
+    };
+    for lexeme in ["qqq", pairs[site].1] {
+        let reps = edit(&mut det_arena, det_root, lexeme);
+        let d = det.reparse(&mut det_arena, det_root, reps, &[]).unwrap();
+        det_arena.clear_changes();
+        let reps = edit(&mut iglr_arena, iglr_root, lexeme);
+        let i = iglr.reparse(&mut iglr_arena, iglr_root, reps, &[]).unwrap();
+        iglr_arena.clear_changes();
+        assert_eq!(
+            (
+                i.terminal_shifts,
+                i.subtree_shifts,
+                i.run_shifts,
+                i.reductions
+            ),
+            (
+                d.terminal_shifts,
+                d.subtree_shifts,
+                d.run_shifts,
+                d.reductions
+            ),
+            "edit to {lexeme:?}: IGLR {i:?} vs deterministic {d:?}"
+        );
+        assert!(structurally_equal(
+            &det_arena,
+            det_root,
+            &iglr_arena,
+            iglr_root
+        ));
+    }
 }
