@@ -694,13 +694,13 @@ fn run_read_cell(
             busy_at_warmup = Some(ws.metrics().shard_busy);
         }
         let t0 = Instant::now();
-        let mut queries = Vec::new();
         let mut applies = Vec::new();
         for (id, (_, ops)) in ids.iter().zip(loads) {
             for op in &ops[op_ix..end] {
                 match op {
                     ReadOp::Query(at) => {
-                        queries.push(ws.query_async(*id, SemQuery::ResolveAt(*at)).expect("doc"));
+                        ws.query(*id, SemQuery::ResolveAt(*at))
+                            .expect("query answered");
                     }
                     ReadOp::Pair(a, b) => {
                         let edits = vec![
@@ -711,9 +711,6 @@ fn run_read_cell(
                     }
                 }
             }
-        }
-        for q in queries {
-            q.wait().expect("query answered");
         }
         for p in applies {
             assert!(p.wait().result.expect("edits apply").incorporated);

@@ -651,6 +651,47 @@ mod tests {
     }
 
     #[test]
+    fn swap_only_cycle_reports_and_counts_itself() {
+        // A reparse with no pending edits that only adopts a new table is
+        // a real cycle: its report carries the whole cycle's time and the
+        // adoption rebuild's node allocations, and the session metrics
+        // count it. A cycle with nothing to do stays a no-op.
+        let reg = LanguageRegistry::new();
+        let cfg = reg.get_or_compile(stmt_grammar(), stmt_lexdef()).unwrap();
+        let text: String = (0..50).map(|i| format!("v{i}; ")).collect();
+        let mut s = Session::new(&cfg, &text).unwrap();
+        let noop = s.reparse().unwrap();
+        assert!(!noop.report.grammar_swapped);
+        assert_eq!(noop.report.total, std::time::Duration::ZERO);
+        assert_eq!(s.metrics().reparses, 0, "a no-op cycle is not counted");
+
+        reg.update_grammar(&semi_only_delta(cfg.grammar())).unwrap();
+        let out = s.reparse().unwrap();
+        assert!(out.incorporated);
+        assert_eq!((out.incorporated_edits, out.remaining_edits), (0, 0));
+        let r = &out.report;
+        assert!(r.grammar_swapped);
+        assert!(r.maintenance > std::time::Duration::ZERO, "{r:?}");
+        assert!(r.total >= r.maintenance, "total covers the swap: {r:?}");
+        assert!(
+            r.fresh_node_slots + r.recycled_node_slots > 0,
+            "the adoption rebuild's nodes belong to this cycle: {r:?}"
+        );
+        assert_eq!(r.arena_nodes, s.arena().len());
+        let m = s.metrics();
+        assert_eq!(m.reparses, 1);
+        assert_eq!(m.grammar_swaps, 1);
+        assert_eq!(m.total, r.total);
+        assert_eq!(m.maintenance, r.maintenance);
+        assert_eq!(s.grammar_swaps(), 1);
+
+        let again = s.reparse().unwrap();
+        assert!(!again.report.grammar_swapped);
+        assert_eq!(s.metrics().reparses, 1, "back to a no-op");
+        assert_eq!(s.grammar_swaps(), 1);
+    }
+
+    #[test]
     fn idle_session_reclaims_each_swapped_out_tree() {
         // Adoption rebuilds every nonterminal node; a document that sees
         // no edits between swaps must still not keep the dead trees.

@@ -6,8 +6,11 @@
 //! hands the pass the arena, the root, and the damage snapshot captured
 //! from the old tree's change flags, and the pass updates whatever
 //! persistent state it keeps (scope contours, selections, reference
-//! indexes). `wg-sem` provides the concrete implementation; the session
-//! only sees this object-safe surface.
+//! indexes). Name queries never touch the pass itself: they read its
+//! [`SemReadView`], whether the session answers them over its live arena
+//! or a reader thread answers them over a published snapshot. `wg-sem`
+//! provides the concrete implementation; the session only sees this
+//! object-safe surface.
 
 use std::fmt;
 use std::sync::Arc;
@@ -83,39 +86,27 @@ pub trait SemanticPass: Send + fmt::Debug {
         self.update(arena, root, &[], true)
     }
 
-    /// Resolves the name at the end of a root→terminal `path` (as produced
-    /// by [`crate::Session::node_path_at`]). `None` when the path holds no
-    /// analyzed identifier.
-    fn info_at(&self, arena: &DagArena, path: &[NodeId]) -> Option<SemInfo>;
-
-    /// Dag nodes referencing `name` (uses, not binding sites). Only sites
-    /// attached to the current tree are reported — the pass may keep facts
-    /// for detached subtrees until the next collection prunes them.
-    fn uses_of(&self, arena: &DagArena, name: &str) -> Vec<NodeId>;
-
-    /// An immutable, thread-safe view of the pass's current fact tables,
-    /// published alongside a dag snapshot so reader threads can answer
-    /// [`SemanticPass::info_at`]-style queries without the session lock.
-    /// The default returns `None` (no snapshot support); passes that
-    /// support it may cache the view between updates, hence `&mut self`.
-    fn read_view(&mut self) -> Option<Arc<dyn SemReadView>> {
-        None
-    }
+    /// An immutable, thread-safe view of the pass's current fact tables:
+    /// the one implementation of the name queries. The session answers
+    /// its own queries through it over the live arena, and publishes it
+    /// beside each dag snapshot so reader threads answer without the
+    /// session lock. Passes may cache the view between updates.
+    fn read_view(&self) -> Arc<dyn SemReadView>;
 
     /// Escape hatch for tests and tools that know the concrete pass type.
     fn as_any(&self) -> &dyn std::any::Any;
 }
 
-/// The read-only query surface of a published semantic view: the same
-/// name-resolution queries as [`SemanticPass`], but over a [`DagRead`]
-/// (live arena *or* [`wg_dag::DagSnapshot`]) and callable from any thread
-/// — the view is immutable and `Sync`.
+/// The read-only query surface of a semantic view: name resolution over a
+/// [`DagRead`] (the live arena *or* a [`wg_dag::DagSnapshot`]), callable
+/// from any thread — the view is immutable and `Sync`.
 pub trait SemReadView: Send + Sync + fmt::Debug {
-    /// Resolves the name at the end of a root→terminal `path` against the
-    /// facts frozen into this view.
+    /// Resolves the name at the end of a root→terminal `path` (as produced
+    /// by [`crate::Session::node_path_at`]) against the facts frozen into
+    /// this view. `None` when the path holds no analyzed identifier.
     fn info_at(&self, dag: &dyn DagRead, path: &[NodeId]) -> Option<SemInfo>;
 
-    /// Dag nodes referencing `name`, filtered to sites attached to the
-    /// given dag version.
+    /// Dag nodes referencing `name` (uses, not binding sites), filtered to
+    /// sites attached to the given dag version, in node-index order.
     fn uses_of(&self, dag: &dyn DagRead, name: &str) -> Vec<NodeId>;
 }

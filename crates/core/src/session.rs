@@ -6,7 +6,7 @@ use crate::metrics::{ReparseReport, SessionMetrics};
 use crate::parser::{IglrError, IglrParser, IglrRunStats};
 use crate::registry::LangSlot;
 use crate::semantics::{SemInfo, SemanticPass};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{root_path, Snapshot};
 use crate::tape::TokenTape;
 use std::fmt;
 use std::sync::Arc;
@@ -250,9 +250,6 @@ pub struct Session {
     /// The most recently published snapshot, reused while the committed
     /// tree is unchanged (invalidated by any reparse cycle that had work).
     last_snapshot: Option<Arc<Snapshot>>,
-    /// Grammar hot-swaps adopted (table epoch changes picked up from the
-    /// registry slot at reparse time).
-    grammar_swaps: usize,
 }
 
 impl Session {
@@ -303,7 +300,6 @@ impl Session {
             sem: None,
             sem_damage: Vec::new(),
             last_snapshot: None,
-            grammar_swaps: 0,
         })
     }
 
@@ -339,7 +335,6 @@ impl Session {
             Ok(root) => {
                 self.root = root;
                 self.config = candidate;
-                self.grammar_swaps += 1;
                 self.last_snapshot = None;
                 // Every old nonterminal node died with the swap. Collect
                 // now: an idle document may see no edit (and so no
@@ -358,9 +353,10 @@ impl Session {
         }
     }
 
-    /// Grammar hot-swaps this session has adopted.
+    /// Grammar hot-swaps this session has adopted (the
+    /// [`SessionMetrics::grammar_swaps`] count).
     pub fn grammar_swaps(&self) -> usize {
-        self.grammar_swaps
+        self.metrics.grammar_swaps as usize
     }
 
     /// The table epoch the session is currently parsing with.
@@ -396,7 +392,7 @@ impl Session {
         }
         let dag = self.arena.publish();
         let tape = self.tape.publish();
-        let sem = self.sem.as_mut().and_then(|p| p.read_view());
+        let sem = self.sem.as_deref().map(|p| p.read_view());
         let snap = Arc::new(Snapshot::new(dag, self.root, tape, sem));
         self.last_snapshot = Some(Arc::clone(&snap));
         snap
@@ -407,23 +403,24 @@ impl Session {
         self.sem.as_deref()
     }
 
-    /// Resolves the name at byte `offset` through the attached semantic
-    /// pass. `None` without a pass, outside any token, or when the token is
-    /// not an analyzed identifier. Cost is O(tree depth): the query walks
-    /// one root→terminal path and reads the persistent fact tables — no
-    /// dag re-walk.
+    /// Resolves the name at byte `offset` of the committed text through the
+    /// attached pass's read view over the live arena — the same evaluator
+    /// a published [`Snapshot::info_at`] runs. `None` without a pass,
+    /// outside any token, or when the token is not an analyzed identifier.
+    /// The first query after a semantic update freezes the view (a copy of
+    /// the fact tables, reused by every later query and publish until the
+    /// next update); each query then walks one root→terminal path.
     pub fn semantic_info_at(&self, offset: usize) -> Option<SemInfo> {
-        let sem = self.sem.as_deref()?;
-        let path = self.node_path_at(offset);
-        sem.info_at(&self.arena, &path)
+        let view = self.sem.as_deref()?.read_view();
+        view.info_at(&self.arena, &self.node_path_at(offset))
     }
 
-    /// Dag nodes referencing `name`, from the pass's persistent reference
-    /// index. Empty without a pass.
+    /// Dag nodes referencing `name`, from the read view's reference index
+    /// (see [`Session::semantic_info_at`]). Empty without a pass.
     pub fn semantic_uses_of(&self, name: &str) -> Vec<NodeId> {
         self.sem
             .as_deref()
-            .map_or_else(Vec::new, |s| s.uses_of(&self.arena, name))
+            .map_or_else(Vec::new, |s| s.read_view().uses_of(&self.arena, name))
     }
 
     /// Applies a textual edit (does not reparse). O(log N + edit size).
@@ -469,6 +466,13 @@ impl Session {
             buffer: std::mem::take(&mut self.edit_time),
             ..ReparseReport::default()
         };
+        // Allocation-counter snapshots: the report carries per-cycle deltas
+        // so a warm session's cycles visibly report zero fresh slots. They
+        // are taken before adoption, whose rebuild belongs to this cycle.
+        let fresh0 = self.arena.fresh_node_slots();
+        let recycled0 = self.arena.recycled_node_slots();
+        let probes0 = self.scratch.merge_probes();
+        let key_allocs0 = self.scratch.merge_key_allocs();
         // A registry hot-swap is adopted before pending edits are touched,
         // so the incorporation attempts below already run on the new table.
         let t_swap = Instant::now();
@@ -477,31 +481,51 @@ impl Session {
             report.maintenance += t_swap.elapsed();
         }
         let pending = self.buffer.pending_len();
-        // Allocation-counter snapshots: the report carries per-cycle deltas
-        // so a warm session's cycles visibly report zero fresh slots.
-        let fresh0 = self.arena.fresh_node_slots();
-        let recycled0 = self.arena.recycled_node_slots();
-        let probes0 = self.scratch.merge_probes();
-        let key_allocs0 = self.scratch.merge_key_allocs();
-        if pending == 0 {
-            report.arena_nodes = self.arena.len();
-            report.kid_slab_bytes = self.arena.kid_slab_bytes();
-            return Ok(ReparseOutcome {
-                incorporated: true,
-                incorporated_edits: 0,
-                remaining_edits: 0,
-                stats: IglrRunStats::default(),
-                error: None,
-                report,
-            });
+        let (k, stats, error) = if pending > 0 {
+            self.incorporate_pending(pending, &mut report)
+        } else {
+            (0, IglrRunStats::default(), None)
+        };
+        report.incorporated_edits = k;
+        report.parser = stats.clone();
+        report.arena_nodes = self.arena.len();
+        report.fresh_node_slots = self.arena.fresh_node_slots() - fresh0;
+        report.recycled_node_slots = self.arena.recycled_node_slots() - recycled0;
+        report.kid_slab_bytes = self.arena.kid_slab_bytes();
+        report.merge_probes = self.scratch.merge_probes() - probes0;
+        report.merge_key_allocs = self.scratch.merge_key_allocs() - key_allocs0;
+        // A cycle with nothing to do stays a no-op: untimed and uncounted.
+        if pending > 0 || report.grammar_swapped {
+            report.total = t_total.elapsed();
+            self.metrics.absorb(&report);
         }
+        Ok(ReparseOutcome {
+            incorporated: k == pending,
+            incorporated_edits: k,
+            remaining_edits: pending - k,
+            stats,
+            error,
+            report,
+        })
+    }
+
+    /// The prefix-retry loop of [`Session::reparse`] over `pending >= 1`
+    /// edits: tries the full pending set first, then ever-shorter prefixes
+    /// (the paper's recovery integrates only the modifications that yield
+    /// a valid parse). On success it runs tree maintenance and the
+    /// semantic update. Returns how many edits were incorporated (0 when
+    /// every attempt was refused), the successful parse's stats, and the
+    /// error that stopped fuller incorporation.
+    fn incorporate_pending(
+        &mut self,
+        pending: usize,
+        report: &mut ReparseReport,
+    ) -> (usize, IglrRunStats, Option<IglrError>) {
         // Any cycle with pending work may mutate the arena (even a refused
         // attempt allocates terminals), so the cached snapshot is stale.
         self.last_snapshot = None;
-        // Try the full pending set first, then ever-shorter prefixes (the
-        // paper's recovery integrates only the modifications that yield a
-        // valid parse). Attempts are capped so a long broken session does
-        // not retry quadratically.
+        // Attempts are capped so a long broken session does not retry
+        // quadratically.
         let min_k = pending.saturating_sub(MAX_PREFIX_ATTEMPTS);
         let mut last_error = None;
         let parser = IglrParser::new(self.config.grammar(), self.config.table());
@@ -526,93 +550,59 @@ impl Session {
                 &self.buffer,
                 &mut self.lexeme_buf,
                 damage,
-                &mut report,
+                report,
                 &mut self.sem_damage,
             );
-            match attempt {
-                Ok(stats) => {
-                    let t_buf = Instant::now();
-                    self.buffer.restore_pending();
-                    self.buffer.commit_prefix(k);
-                    report.buffer += t_buf.elapsed();
-                    self.reparses += 1;
-                    self.unincorporated.clear();
-                    if k != pending {
-                        let remaining: Vec<_> = self.buffer.pending_with_versions().collect();
-                        for (v, e) in remaining {
-                            self.unincorporated.flag(v, e);
-                        }
-                    }
-                    let t_maint = Instant::now();
-                    // Incremental compaction lets sequence depth creep
-                    // slowly; a periodic canonical rebuild amortizes it
-                    // away. The cadence scales with document size so the
-                    // O(N) rebuild stays amortized O(1) per edit.
-                    let interval = 64.max(self.tape.len() / 16);
-                    if self.reparses.is_multiple_of(interval) {
-                        parser.rebalance_full(&mut self.arena, self.root);
-                        report.rebalanced = true;
-                    }
-                    report.gc_ran = Self::maybe_gc(&mut self.arena, self.root);
-                    report.maintenance += t_maint.elapsed();
-                    if let Some(sem) = self.sem.as_mut() {
-                        let t_sem = Instant::now();
-                        let up =
-                            sem.update(&self.arena, self.root, &self.sem_damage, report.gc_ran);
-                        report.sem = t_sem.elapsed();
-                        report.sem_reanalyzed = up.reanalyzed;
-                        report.sem_contours_reused = up.contours_reused;
-                        report.sem_flips = up.flips;
-                        report.sem_full_rebuild = up.full_rebuild;
-                    }
-                    report.incorporated_edits = k;
-                    report.arena_nodes = self.arena.len();
-                    report.fresh_node_slots = self.arena.fresh_node_slots() - fresh0;
-                    report.recycled_node_slots = self.arena.recycled_node_slots() - recycled0;
-                    report.kid_slab_bytes = self.arena.kid_slab_bytes();
-                    report.merge_probes = self.scratch.merge_probes() - probes0;
-                    report.merge_key_allocs = self.scratch.merge_key_allocs() - key_allocs0;
-                    report.parser = stats.clone();
-                    report.total = t_total.elapsed();
-                    self.metrics.absorb(&report);
-                    return Ok(ReparseOutcome {
-                        incorporated: k == pending,
-                        incorporated_edits: k,
-                        remaining_edits: pending - k,
-                        stats,
-                        error: last_error,
-                        report,
-                    });
+            let stats = match attempt {
+                Ok(stats) => stats,
+                Err(e) => {
+                    last_error = e;
+                    continue;
                 }
-                Err(e) => last_error = e,
+            };
+            let t_buf = Instant::now();
+            self.buffer.restore_pending();
+            self.buffer.commit_prefix(k);
+            report.buffer += t_buf.elapsed();
+            self.reparses += 1;
+            Self::flag_pending(&mut self.unincorporated, &self.buffer);
+            let t_maint = Instant::now();
+            // Incremental compaction lets sequence depth creep slowly; a
+            // periodic canonical rebuild amortizes it away. The cadence
+            // scales with document size so the O(N) rebuild stays
+            // amortized O(1) per edit.
+            let interval = 64.max(self.tape.len() / 16);
+            if self.reparses.is_multiple_of(interval) {
+                parser.rebalance_full(&mut self.arena, self.root);
+                report.rebalanced = true;
             }
+            report.gc_ran = Self::maybe_gc(&mut self.arena, self.root);
+            report.maintenance += t_maint.elapsed();
+            if let Some(sem) = self.sem.as_mut() {
+                let t_sem = Instant::now();
+                let up = sem.update(&self.arena, self.root, &self.sem_damage, report.gc_ran);
+                report.sem = t_sem.elapsed();
+                report.sem_reanalyzed = up.reanalyzed;
+                report.sem_contours_reused = up.contours_reused;
+                report.sem_flips = up.flips;
+                report.sem_full_rebuild = up.full_rebuild;
+            }
+            return (k, stats, last_error);
         }
         let t_buf = Instant::now();
         self.buffer.restore_pending();
         report.buffer += t_buf.elapsed();
-        self.unincorporated.clear();
-        // Flag each refused edit with the version at which it was actually
-        // made, not whatever the buffer reads now.
-        let remaining: Vec<_> = self.buffer.pending_with_versions().collect();
-        for (v, e) in remaining {
-            self.unincorporated.flag(v, e);
+        Self::flag_pending(&mut self.unincorporated, &self.buffer);
+        (0, IglrRunStats::default(), last_error)
+    }
+
+    /// Re-flags the edits still pending, each with the version at which it
+    /// was actually made, not whatever the buffer reads now.
+    fn flag_pending(unincorporated: &mut UnincorporatedEdits, buffer: &TextBuffer) {
+        unincorporated.clear();
+        for (v, e) in buffer.pending_with_versions() {
+            unincorporated.flag(v, e);
         }
-        report.arena_nodes = self.arena.len();
-        report.fresh_node_slots = self.arena.fresh_node_slots() - fresh0;
-        report.recycled_node_slots = self.arena.recycled_node_slots() - recycled0;
-        report.kid_slab_bytes = self.arena.kid_slab_bytes();
-        report.merge_probes = self.scratch.merge_probes() - probes0;
-        report.merge_key_allocs = self.scratch.merge_key_allocs() - key_allocs0;
-        report.total = t_total.elapsed();
-        self.metrics.absorb(&report);
-        Ok(ReparseOutcome {
-            incorporated: false,
-            incorporated_edits: 0,
-            remaining_edits: pending,
-            stats: IglrRunStats::default(),
-            error: last_error,
-            report,
-        })
     }
 
     /// One incorporation attempt against the buffer's live text (rewound by
@@ -835,20 +825,9 @@ impl Session {
     /// offset. The path runs through any choice points containing the
     /// token, so editor tooling can see local ambiguity directly.
     pub fn node_path_at(&self, offset: usize) -> Vec<NodeId> {
-        let Some(ix) = self.token_index_at(offset) else {
-            return Vec::new();
-        };
-        let mut path = Vec::new();
-        let mut cur = self.tape.node(ix);
-        while !cur.is_none() {
-            path.push(cur);
-            cur = self.arena.node(cur).parent();
-        }
-        path.reverse();
-        // A stale parent chain (shared terminal adopted by the other
-        // alternative) still ends at the root because refresh_parents ran.
-        debug_assert_eq!(path.first().copied(), Some(self.root));
-        path
+        self.token_index_at(offset).map_or_else(Vec::new, |ix| {
+            root_path(&self.arena, self.root, self.tape.node(ix))
+        })
     }
 
     /// The terminal dag node covering byte `offset`, with its token.

@@ -67,7 +67,7 @@ impl Snapshot {
     }
 
     /// Whether the snapshot carries a semantic view (i.e. the session had
-    /// an attached pass supporting snapshot reads).
+    /// a semantic pass attached).
     pub fn has_semantics(&self) -> bool {
         self.sem.is_some()
     }
@@ -82,18 +82,9 @@ impl Snapshot {
     /// `offset`: `[root, ..., terminal]`; empty when no token covers the
     /// offset. The frozen analogue of [`crate::Session::node_path_at`].
     pub fn node_path_at(&self, offset: usize) -> Vec<NodeId> {
-        let Some(ix) = self.token_index_at(offset) else {
-            return Vec::new();
-        };
-        let mut path = Vec::new();
-        let mut cur = self.tape.node(ix);
-        while !cur.is_none() {
-            path.push(cur);
-            cur = self.dag.parent(cur);
-        }
-        path.reverse();
-        debug_assert_eq!(path.first().copied(), Some(self.root));
-        path
+        self.token_index_at(offset).map_or_else(Vec::new, |ix| {
+            root_path(&self.dag, self.root, self.tape.node(ix))
+        })
     }
 
     /// Resolves the name at byte `offset` against this version's facts.
@@ -112,4 +103,22 @@ impl Snapshot {
             .as_deref()
             .map_or_else(Vec::new, |s| s.uses_of(&self.dag, name))
     }
+}
+
+/// The dag path from the super-root down to `leaf`: `[root, ..., leaf]`,
+/// following parent pointers. Shared by [`crate::Session::node_path_at`]
+/// (live arena) and [`Snapshot::node_path_at`] (frozen dag). A shared
+/// terminal's parent pointer names one of the alternatives containing it,
+/// and the chain still ends at the root because the parser refreshes
+/// parent pointers after every reparse.
+pub(crate) fn root_path(dag: &dyn DagRead, root: NodeId, leaf: NodeId) -> Vec<NodeId> {
+    let mut path = Vec::new();
+    let mut cur = leaf;
+    while !cur.is_none() {
+        path.push(cur);
+        cur = dag.parent(cur);
+    }
+    path.reverse();
+    debug_assert_eq!(path.first().copied(), Some(root));
+    path
 }

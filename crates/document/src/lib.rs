@@ -197,7 +197,7 @@ struct PendingEdit {
 pub struct TextBuffer {
     rope: Rope,
     version: u64,
-    /// Edits applied since the last [`TextBuffer::commit`]; what the next
+    /// Edits applied since the last [`TextBuffer::commit_prefix`]; what the next
     /// incremental analysis must incorporate. Each edit's offsets are in
     /// the coordinates produced by its predecessors.
     pending: Vec<PendingEdit>,
@@ -251,7 +251,7 @@ impl TextBuffer {
     }
 
     /// The bytes of `range` as an owned string.
-    pub fn slice_to_string(&self, range: Range<usize>) -> String {
+    fn slice_to_string(&self, range: Range<usize>) -> String {
         let mut out = String::with_capacity(range.end.saturating_sub(range.start));
         self.rope.read_range(range, &mut out);
         out
@@ -384,11 +384,6 @@ impl TextBuffer {
         rev.into()
     }
 
-    /// The edits applied since the last commit, in order.
-    pub fn pending_edits(&self) -> Vec<Edit> {
-        self.pending.iter().map(|p| p.edit).collect()
-    }
-
     /// The pending edits together with the buffer version at which each was
     /// made, oldest first.
     pub fn pending_with_versions(&self) -> impl Iterator<Item = (u64, Edit)> + '_ {
@@ -398,13 +393,6 @@ impl TextBuffer {
     /// Number of pending edits.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
-    }
-
-    /// Coalesces all pending edits into a single covering [`Edit`] in the
-    /// coordinates of the last committed text, or `None` if nothing is
-    /// pending.
-    pub fn pending_damage(&self) -> Option<Edit> {
-        self.pending_damage_prefix(self.pending.len())
     }
 
     /// Coalesces the first `k` pending edits into one covering [`Edit`] in
@@ -452,64 +440,9 @@ impl TextBuffer {
         }
     }
 
-    /// How many pending edits the live text currently reflects (equal to
-    /// [`TextBuffer::pending_len`] unless rewound).
-    pub fn applied_prefix(&self) -> usize {
-        self.applied
-    }
-
-    /// The text that results from applying only the first `k` pending edits
-    /// to the committed text (the paper's history-based recovery integrates
-    /// the longest prefix of modifications that still parses). Materializes
-    /// the document — see [`TextBuffer::rewind_to_prefix`] for the in-place
-    /// alternative the analyses use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` exceeds the number of pending edits.
-    pub fn text_at_prefix(&self, k: usize) -> String {
-        let mut out = String::new();
-        self.text_at_prefix_into(k, &mut out);
-        out
-    }
-
-    /// Like [`TextBuffer::text_at_prefix`] but reuses `out`'s allocation.
-    ///
-    /// The prefix text is derived by *undoing* the pending suffix
-    /// `k..` against the current text, newest first; each undo's
-    /// coordinates are exactly the coordinates that edit produced, so no
-    /// offset mapping is needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` exceeds the number of pending edits.
-    pub fn text_at_prefix_into(&self, k: usize, out: &mut String) {
-        self.assert_restored("text_at_prefix_into");
-        assert!(k <= self.pending.len(), "prefix beyond pending edits");
-        out.clear();
-        out.reserve(self.rope.len());
-        self.rope.read_range(0..self.rope.len(), out);
-        for p in self.pending[k..].iter().rev() {
-            out.replace_range(p.edit.start..p.edit.new_end(), &p.removed_text);
-        }
-    }
-
-    /// The text as of the last commit (what the current tree reflects),
-    /// reconstructed from the undo information of the pending edits.
-    pub fn committed_text(&self) -> String {
-        self.text_at_prefix(0)
-    }
-
-    /// Marks all pending edits as incorporated by an analysis.
-    pub fn commit(&mut self) {
-        self.assert_restored("commit");
-        self.pending.clear();
-        self.applied = 0;
-    }
-
     /// Marks the first `k` pending edits as incorporated: the committed
-    /// text advances to [`TextBuffer::text_at_prefix`]`(k)` and the
-    /// remaining edits stay pending. Costs O(`k`), independent of the
+    /// text advances to the text [`TextBuffer::rewind_to_prefix`]`(k)`
+    /// checks out, and the remaining edits stay pending. Costs O(`k`), independent of the
     /// document length.
     ///
     /// # Panics
@@ -602,7 +535,7 @@ mod tests {
         assert_eq!(b.text(), "goodbye, world");
         b.delete(7, 1);
         assert_eq!(b.text(), "goodbye world");
-        assert_eq!(b.pending_edits().len(), 3);
+        assert_eq!(b.pending_len(), 3);
         assert_eq!(b.version(), 3);
     }
 
@@ -647,8 +580,8 @@ mod tests {
         b.undo();
         assert_eq!(b.text(), "int foo;");
         // Both the edit and its reversal are pending damage for the parser.
-        assert_eq!(b.pending_edits().len(), 2);
-        let damage = b.pending_damage().unwrap();
+        assert_eq!(b.pending_len(), 2);
+        let damage = b.pending_damage_prefix(b.pending_len()).unwrap();
         assert_eq!(damage.start, 4);
         assert_eq!(damage.removed, 3);
         assert_eq!(damage.inserted, 3);
@@ -729,40 +662,46 @@ mod tests {
         assert_eq!(m.inserted, 0);
     }
 
+    /// The text after the first `k` pending edits, checked out the way
+    /// the incremental analysis reads it: rewind, read, restore.
+    fn prefix_text(b: &mut TextBuffer, k: usize) -> String {
+        b.rewind_to_prefix(k);
+        let text = b.text();
+        b.restore_pending();
+        text
+    }
+
     #[test]
     fn pending_damage_and_commit() {
         let mut b = TextBuffer::new("0123456789");
-        assert!(b.pending_damage().is_none());
+        assert!(b.pending_damage_prefix(b.pending_len()).is_none());
         b.replace(1, 1, "X");
         b.replace(5, 2, "");
-        let d = b.pending_damage().unwrap();
+        let d = b.pending_damage_prefix(b.pending_len()).unwrap();
         assert_eq!(d.start, 1);
         assert!(d.old_end() >= 7);
-        b.commit();
-        assert!(b.pending_damage().is_none());
+        b.commit_prefix(b.pending_len());
+        assert!(b.pending_damage_prefix(b.pending_len()).is_none());
         assert_eq!(b.version(), 2, "commit does not bump the version");
     }
 
     #[test]
-    fn text_at_prefix_and_commit_prefix() {
+    fn prefix_checkout_and_commit_prefix() {
         let mut b = TextBuffer::new("0123456789");
         b.replace(2, 3, "ab"); // "01ab56789"
         b.replace(0, 1, ""); // "1ab56789"
         b.insert(8, "Z"); // "1ab56789Z"
-        assert_eq!(b.committed_text(), "0123456789");
-        assert_eq!(b.text_at_prefix(0), "0123456789");
-        assert_eq!(b.text_at_prefix(1), "01ab56789");
-        assert_eq!(b.text_at_prefix(2), "1ab56789");
-        assert_eq!(b.text_at_prefix(3), b.text());
-        let mut pooled = String::from("scrap");
-        b.text_at_prefix_into(1, &mut pooled);
-        assert_eq!(pooled, "01ab56789");
+        assert_eq!(prefix_text(&mut b, 0), "0123456789");
+        assert_eq!(prefix_text(&mut b, 1), "01ab56789");
+        assert_eq!(prefix_text(&mut b, 2), "1ab56789");
+        assert_eq!(prefix_text(&mut b, 3), b.text());
+        assert_eq!(b.text(), "1ab56789Z", "every checkout is restored");
         b.commit_prefix(2);
         assert_eq!(b.pending_len(), 1);
-        assert_eq!(b.committed_text(), "1ab56789");
-        assert_eq!(b.text_at_prefix(1), b.text());
-        b.commit();
-        assert_eq!(b.committed_text(), b.text());
+        assert_eq!(prefix_text(&mut b, 0), "1ab56789");
+        assert_eq!(prefix_text(&mut b, 1), b.text());
+        b.commit_prefix(1);
+        assert_eq!(prefix_text(&mut b, 0), b.text());
     }
 
     #[test]
@@ -772,9 +711,9 @@ mod tests {
         b.undo();
         assert_eq!(b.text(), "int foo;");
         assert_eq!(b.pending_len(), 2);
-        assert_eq!(b.text_at_prefix(0), "int foo;");
-        assert_eq!(b.text_at_prefix(1), "int barbar;");
-        assert_eq!(b.text_at_prefix(2), "int foo;");
+        assert_eq!(prefix_text(&mut b, 0), "int foo;");
+        assert_eq!(prefix_text(&mut b, 1), "int barbar;");
+        assert_eq!(prefix_text(&mut b, 2), "int foo;");
     }
 
     #[test]
@@ -783,15 +722,12 @@ mod tests {
         b.replace(2, 3, "ab"); // "01ab56789"
         b.replace(0, 1, ""); // "1ab56789"
         b.insert(8, "Z"); // "1ab56789Z"
-        assert_eq!(b.applied_prefix(), 3);
         b.rewind_to_prefix(2);
         assert_eq!(b.text(), "1ab56789");
-        assert_eq!(b.applied_prefix(), 2);
         b.rewind_to_prefix(0);
         assert_eq!(b.text(), "0123456789");
         b.restore_pending();
         assert_eq!(b.text(), "1ab56789Z");
-        assert_eq!(b.applied_prefix(), 3);
         // Rewind reflects in streaming reads too, not just text().
         b.rewind_to_prefix(1);
         let mut out = String::new();

@@ -3,10 +3,11 @@
 //! `commit_prefix` scripts, including multibyte input.
 //!
 //! The model is the pre-rope implementation shape: one contiguous `String`
-//! plus pending/history logs, with `text_at_prefix` derived by undoing the
-//! pending suffix via `replace_range`. Every step asserts identical
-//! `text()`, `committed_text()`, `text_at_prefix(k)` for every prefix `k`,
-//! and `pending_damage()`.
+//! plus pending/history logs, with the text after a pending prefix derived
+//! by undoing the pending suffix via `replace_range`. Every step asserts
+//! identical `text()`, the text that `rewind_to_prefix(k)` checks out for
+//! every prefix `k` (restored afterwards), and the covering damage
+//! `pending_damage_prefix(pending_len())`.
 
 use proptest::prelude::*;
 use wg_document::{Edit, TextBuffer};
@@ -61,7 +62,7 @@ impl ModelBuf {
         self.pending.drain(..k);
     }
 
-    fn text_at_prefix(&self, k: usize) -> String {
+    fn prefix_text(&self, k: usize) -> String {
         let mut out = self.text.clone();
         for (edit, removed_text) in self.pending[k..].iter().rev() {
             out.replace_range(edit.start..edit.new_end(), removed_text);
@@ -105,14 +106,20 @@ fn initial_strategy() -> impl Strategy<Value = String> {
     "[a-zλ語 ;\n]{0,64}"
 }
 
-fn check_equal(buf: &TextBuffer, model: &ModelBuf) {
+fn check_equal(buf: &mut TextBuffer, model: &ModelBuf) {
     assert_eq!(buf.text(), model.text, "live text");
-    assert_eq!(buf.committed_text(), model.text_at_prefix(0), "committed");
     assert_eq!(buf.pending_len(), model.pending.len());
     for k in 0..=model.pending.len() {
-        assert_eq!(buf.text_at_prefix(k), model.text_at_prefix(k), "prefix {k}");
+        buf.rewind_to_prefix(k);
+        assert_eq!(buf.text(), model.prefix_text(k), "prefix {k}");
+        buf.restore_pending();
     }
-    assert_eq!(buf.pending_damage(), model.pending_damage(), "damage");
+    assert_eq!(buf.text(), model.text, "restored text");
+    assert_eq!(
+        buf.pending_damage_prefix(buf.pending_len()),
+        model.pending_damage(),
+        "damage"
+    );
 }
 
 proptest! {
@@ -148,13 +155,13 @@ proptest! {
                     model.commit_prefix(k);
                 }
             }
-            check_equal(&buf, &model);
+            check_equal(&mut buf, &model);
         }
         // Rewinding to every prefix and back never corrupts the text.
         let n = buf.pending_len();
         for k in (0..=n).rev() {
             buf.rewind_to_prefix(k);
-            assert_eq!(buf.text(), model.text_at_prefix(k), "rewound to {k}");
+            assert_eq!(buf.text(), model.prefix_text(k), "rewound to {k}");
         }
         buf.restore_pending();
         assert_eq!(buf.text(), model.text);

@@ -26,6 +26,7 @@ use crate::analyze::{head_identifier, AltKind, Analysis, Selection, Strictness};
 use crate::classify::Classifier;
 use crate::scope::NameKind;
 use crate::symtab::{Sym, SymTab};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use wg_core::{SemInfo, SemNameKind, SemReadView, SemUpdate, SemanticPass};
 use wg_dag::{DagArena, DagRead, FxHashMap, FxHashSet, NodeId, NodeKind};
@@ -171,11 +172,12 @@ pub struct SemState {
     pre: FxHashMap<(CtrId, Sym), Vec<BindEntry>>,
     /// Memoized document spans (terminal offsets), valid for one tree
     /// shape; cleared whenever the arena may have changed underneath us.
-    spans: std::cell::RefCell<FxHashMap<NodeId, Option<(u32, u32)>>>,
-    /// The published read view, built lazily on demand and dropped at the
-    /// start of every update — all snapshots published between two updates
-    /// share one frozen copy of the fact tables.
-    view: Option<Arc<SemView>>,
+    spans: RefCell<FxHashMap<NodeId, Option<(u32, u32)>>>,
+    /// The read view, built lazily on the first query or publish after an
+    /// update and dropped at the start of the next one — every query and
+    /// snapshot between two updates shares one frozen copy of the fact
+    /// tables.
+    view: RefCell<Option<Arc<dyn SemReadView>>>,
     mode: Mode,
     built: bool,
     stats: SemUpdate,
@@ -248,8 +250,8 @@ impl SemState {
             deps: FxHashMap::default(),
             stamps: FxHashMap::default(),
             pre: FxHashMap::default(),
-            spans: std::cell::RefCell::new(FxHashMap::default()),
-            view: None,
+            spans: RefCell::new(FxHashMap::default()),
+            view: RefCell::new(None),
             mode: Mode::Build,
             built: false,
             stats: SemUpdate::default(),
@@ -358,13 +360,6 @@ impl SemState {
     /// kid-membership verified at every level, reaches the root).
     fn attached(&self, arena: &DagArena, n: NodeId) -> bool {
         attached_in(arena, &mut self.spans.borrow_mut(), n)
-    }
-
-    /// How many attached sites reference `sym`.
-    fn attached_refs(&self, arena: &DagArena, sym: Sym) -> usize {
-        self.refs.get(&sym).map_or(0, |v| {
-            v.iter().filter(|&&n| self.attached(arena, n)).count()
-        })
     }
 
     // ------------------------------------------------------------------
@@ -905,26 +900,6 @@ impl SemState {
         sa == sb
     }
 
-    /// Builds (or reuses) the frozen read view of the current fact tables.
-    /// Cached between updates: every snapshot published from the same
-    /// analysis state shares one copy.
-    fn view(&mut self) -> Arc<SemView> {
-        if let Some(v) = &self.view {
-            return Arc::clone(v);
-        }
-        let v = Arc::new(SemView {
-            symtab: self.symtab.clone(),
-            contours: self.contours.clone(),
-            binds: self.binds.clone(),
-            uses: self.uses.clone(),
-            choices: self.choices.clone(),
-            refs: self.refs.clone(),
-            spans: Mutex::new(FxHashMap::default()),
-        });
-        self.view = Some(Arc::clone(&v));
-        v
-    }
-
     fn re_resolve_use(&mut self, arena: &DagArena, n: NodeId) {
         let Some(fact) = self.uses.get(&n).copied() else {
             return;
@@ -1081,20 +1056,21 @@ fn lookup_in(
 }
 
 // ----------------------------------------------------------------------
-// The published read view
+// The read view
 // ----------------------------------------------------------------------
 
-/// A frozen copy of [`SemState`]'s queryable fact tables, published behind
-/// an `Arc` alongside a dag snapshot so reader threads answer name queries
-/// without the session lock.
+/// A frozen copy of [`SemState`]'s queryable fact tables behind an `Arc`:
+/// the only evaluator of the name queries. The session runs it over its
+/// live arena, and publishes it alongside each dag snapshot so reader
+/// threads answer without the session lock.
 ///
 /// The tables are plain clones (no structural sharing with the live
 /// state); the only interior mutability is the span memo, which is sound
-/// to share across every snapshot the view serves: the view is dropped at
-/// the start of each semantic update, and between updates the attached
-/// tree's structure is identical in every published version (refused
-/// reparse attempts roll their parent edits back and only leave detached
-/// fresh terminals behind, which own no facts).
+/// to share across every dag the view serves: the view is dropped at the
+/// start of each semantic update, and between updates the attached tree's
+/// structure is identical in the live arena and in every published
+/// version (refused reparse attempts roll their parent edits back and
+/// only leave detached fresh terminals behind, which own no facts).
 #[derive(Debug)]
 struct SemView {
     symtab: SymTab,
@@ -1218,7 +1194,7 @@ impl SemanticPass for SemState {
         self.spans.borrow_mut().clear();
         // Facts are about to change: the next publish must freeze a fresh
         // view (readers holding the old Arc keep their version's answers).
-        self.view = None;
+        *self.view.get_mut() = None;
         if !self.built {
             self.full_build(arena, root);
             return self.stats;
@@ -1249,80 +1225,31 @@ impl SemanticPass for SemState {
         // Reset instead of rippling from (nonexistent) damage.
         self.stats = SemUpdate::default();
         self.spans.borrow_mut().clear();
-        self.view = None;
+        *self.view.get_mut() = None;
         self.full_build(arena, root);
         self.stats.full_rebuild = true;
         self.stats
     }
 
-    fn info_at(&self, arena: &DagArena, path: &[NodeId]) -> Option<SemInfo> {
-        // The tree may have moved under us since the last update (edits
-        // applied but not yet incorporated); don't trust memoized spans.
-        self.spans.borrow_mut().clear();
-        let ambiguous = path.iter().any(|n| self.choices.contains_key(n));
-        let choice_resolved = path
-            .iter()
-            .rev()
-            .find_map(|n| self.choices.get(n))
-            .map(|c| c.sel.is_some());
-        for n in path.iter().rev() {
-            if let Some(u) = self.uses.get(n) {
-                let found = self.lookup(arena, *n, u.sym, u.scope);
-                return Some(SemInfo {
-                    name: self.symtab.name(u.sym).to_string(),
-                    kind: found.map(to_sem_kind),
-                    ambiguous,
-                    resolved: choice_resolved.unwrap_or(u.resolved),
-                    uses: self.attached_refs(arena, u.sym),
-                });
-            }
-            if let Some(b) = self.binds.get(n) {
-                return Some(SemInfo {
-                    name: self.symtab.name(b.sym).to_string(),
-                    kind: Some(to_sem_kind(b.kind)),
-                    ambiguous,
-                    resolved: choice_resolved.unwrap_or(true),
-                    uses: self.attached_refs(arena, b.sym),
-                });
-            }
+    /// Builds (or reuses) the frozen view of the current fact tables.
+    /// Cached between updates: every query and snapshot answered from the
+    /// same analysis state shares one copy.
+    fn read_view(&self) -> Arc<dyn SemReadView> {
+        let mut cached = self.view.borrow_mut();
+        if let Some(v) = &*cached {
+            return Arc::clone(v);
         }
-        // No analyzed identifier on the path; report the enclosing choice
-        // point's head if there is one.
-        let (n, c) = path
-            .iter()
-            .rev()
-            .find_map(|n| self.choices.get(n).map(|c| (*n, c)))?;
-        let sym = c.head?;
-        let found = self.lookup(arena, n, sym, c.scope);
-        Some(SemInfo {
-            name: self.symtab.name(sym).to_string(),
-            kind: found.map(to_sem_kind),
-            ambiguous,
-            resolved: c.sel.is_some(),
-            uses: self.attached_refs(arena, sym),
-        })
-    }
-
-    fn uses_of(&self, arena: &DagArena, name: &str) -> Vec<NodeId> {
-        let Some(sym) = self.symtab.get(name) else {
-            return Vec::new();
-        };
-        let mut v: Vec<NodeId> = self
-            .refs
-            .get(&sym)
-            .map(|v| {
-                v.iter()
-                    .filter(|&&n| self.attached(arena, n))
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default();
-        v.sort_by_key(|n| n.index());
+        let v: Arc<dyn SemReadView> = Arc::new(SemView {
+            symtab: self.symtab.clone(),
+            contours: self.contours.clone(),
+            binds: self.binds.clone(),
+            uses: self.uses.clone(),
+            choices: self.choices.clone(),
+            refs: self.refs.clone(),
+            spans: Mutex::new(FxHashMap::default()),
+        });
+        *cached = Some(Arc::clone(&v));
         v
-    }
-
-    fn read_view(&mut self) -> Option<Arc<dyn SemReadView>> {
-        Some(self.view())
     }
 
     fn as_any(&self) -> &dyn std::any::Any {
@@ -1509,29 +1436,6 @@ mod tests {
         );
         assert_eq!(out.report.sem_flips, 0, "no binding changed, no ripple");
         assert_matches_batch(&s);
-    }
-
-    #[test]
-    fn read_view_matches_live_queries_at_every_offset() {
-        let cfg = Box::leak(Box::new(simp_c()));
-        let mut s = Session::new(
-            cfg,
-            "typedef int t; int f() { int y; t (x); } f (y); w = 1;",
-        )
-        .unwrap();
-        attach(&mut s, Strictness::RequireBinding);
-        let snap = s.publish();
-        assert!(snap.has_semantics());
-        for off in 0..s.text().len() {
-            assert_eq!(
-                snap.info_at(off),
-                s.semantic_info_at(off),
-                "snapshot diverged from the live session at offset {off}"
-            );
-        }
-        assert_eq!(snap.uses_of("y"), s.semantic_uses_of("y"));
-        assert_eq!(snap.uses_of("t"), s.semantic_uses_of("t"));
-        assert_eq!(snap.uses_of("nope"), s.semantic_uses_of("nope"));
     }
 
     #[test]

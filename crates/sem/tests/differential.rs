@@ -6,10 +6,13 @@
 //! the incremental state must equal what batch [`analyze`] computes from
 //! scratch on the same tree. A long self-cancelling soak additionally
 //! checks that contour slots do not leak: the count stays bounded by the
-//! number of live blocks.
+//! number of live blocks. The name queries (`info_at`, `uses_of`) of the
+//! live session and of a published snapshot are held to the same batch
+//! oracle at every identifier.
 
 use proptest::prelude::*;
 use wg_core::Session;
+use wg_dag::NodeId;
 use wg_langs::generate::{c_program, edit_sites, identifier_sites, GenSpec};
 use wg_langs::simp_c;
 use wg_sem::{analyze, SemSnapshot, SemState, Strictness};
@@ -162,6 +165,80 @@ fn apply_op(s: &mut Session, op: &Op, serial: usize) -> Option<String> {
     Some(format!("{op:?} at {start}..{} -> {repl:?}", start + len))
 }
 
+/// Checks the name queries of the live session and of a freshly published
+/// snapshot against batch [`analyze`] of the same tree: `uses_of` for
+/// every identifier in the text (and one absent name), and at every
+/// identifier offset the fields batch analysis can answer — the reference
+/// count of the reported name, whether the path crosses a choice point,
+/// and whether the innermost one has a selection.
+fn assert_queries_match_batch(s: &mut Session, context: &str) {
+    let batch = analyze(
+        s.arena(),
+        s.root(),
+        s.config().grammar(),
+        Strictness::RequireBinding,
+    );
+    let snap = s.publish();
+    let text = s.text();
+    let sites = identifier_sites(&text);
+    let mut names: Vec<&str> = sites.iter().map(|&(a, l)| &text[a..a + l]).collect();
+    names.sort_unstable();
+    names.dedup();
+    names.push("no_such_name");
+    for name in names {
+        let mut want: Vec<NodeId> = batch.uses_of(name).to_vec();
+        want.sort_by_key(|n| n.index());
+        assert_eq!(
+            s.semantic_uses_of(name),
+            want,
+            "live uses_of({name}) after {context}"
+        );
+        assert_eq!(
+            snap.uses_of(name),
+            want,
+            "snapshot uses_of({name}) after {context}"
+        );
+    }
+    let choice_point = |n: &NodeId| batch.selection(*n).is_some() || batch.persistent.contains(n);
+    for &(at, len) in &sites {
+        let path = s.node_path_at(at);
+        if path.is_empty() {
+            continue; // not a token of this grammar (e.g. a preprocessor line)
+        }
+        let word = &text[at..at + len];
+        let info = s
+            .semantic_info_at(at)
+            .unwrap_or_else(|| panic!("no answer for `{word}` at {at} after {context}"));
+        assert_eq!(
+            snap.info_at(at).as_ref(),
+            Some(&info),
+            "snapshot info_at({at}) after {context}"
+        );
+        assert_eq!(
+            info.uses,
+            batch.uses_of(&info.name).len(),
+            "reference count of `{}` at {at} (`{word}`) after {context}",
+            info.name
+        );
+        let choice = path.iter().rev().find(|n| choice_point(n));
+        assert_eq!(
+            info.ambiguous,
+            choice.is_some(),
+            "ambiguity at {at} (`{word}`) after {context}"
+        );
+        if let Some(c) = choice {
+            assert_eq!(
+                info.resolved,
+                batch.selection(*c).is_some(),
+                "resolution at {at} (`{word}`) after {context}"
+            );
+            if batch.persistent.contains(c) {
+                assert!(!info.resolved, "persistent choice reported resolved");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -188,6 +265,32 @@ proptest! {
             let out = s.reparse().unwrap();
             prop_assert!(out.incorporated, "edit not incorporated: {desc}");
             assert_matches_batch(&s, &desc);
+        }
+    }
+
+    /// After every step of a random edit script the name queries answer
+    /// what batch analysis of the same tree answers.
+    #[test]
+    fn edit_scripts_answer_queries_like_batch_oracle(
+        seed in 0u64..512,
+        lines in 8usize..32,
+        ops in proptest::collection::vec(op_strategy(), 1..8),
+    ) {
+        let cfg = simp_c();
+        let program = c_program(&GenSpec {
+            typedef_rate: 0.1,
+            ..GenSpec::sized(lines, 0.25, seed)
+        });
+        let mut s = Session::new(&cfg, &program.text).unwrap();
+        attach(&mut s);
+        assert_queries_match_batch(&mut s, "the initial build");
+        for (i, op) in ops.iter().enumerate() {
+            let Some(desc) = apply_op(&mut s, op, i) else {
+                continue;
+            };
+            let out = s.reparse().unwrap();
+            prop_assert!(out.incorporated, "edit not incorporated: {desc}");
+            assert_queries_match_batch(&mut s, &desc);
         }
     }
 }

@@ -12,8 +12,10 @@
 //! parallelism, document-granularity work stealing, edit coalescing
 //! (consecutive pending edits share one covering reparse cycle), bounded
 //! mailboxes for backpressure, graceful drain-on-shutdown, and
-//! per-document panic isolation that survives migration. No dependencies
-//! beyond `std` and the repo's own crates; no `unsafe`.
+//! per-document panic isolation that survives migration. Semantic
+//! queries never enter a mailbox: they read the document's published
+//! snapshot on the caller's thread. No dependencies beyond `std` and the
+//! repo's own crates; no `unsafe`.
 //!
 //! # Example
 //!
@@ -58,8 +60,8 @@ mod workspace;
 
 pub use metrics::{LatencyHistogram, WorkspaceMetrics};
 pub use pool::{Requeue, ShardPool};
-pub use sync::{oneshot, BoundedQueue, OneShotReceiver, OneShotSender};
+pub use sync::{oneshot, OneShotReceiver, OneShotSender};
 pub use workspace::{
-    ApplyOutcome, DocId, DocReport, DocResult, EditReq, GrammarSwapReport, PendingApply,
-    PendingQuery, SemAnswer, SemQuery, Workspace, WorkspaceError,
+    ApplyOutcome, DocId, DocReport, DocResult, EditReq, GrammarSwapReport, PendingApply, SemAnswer,
+    SemQuery, Workspace, WorkspaceError,
 };

@@ -162,18 +162,21 @@ pub struct WorkspaceMetrics {
     pub p95: Duration,
     /// 99th-percentile per-cycle service latency.
     pub p99: Duration,
-    /// Semantic queries answered since the workspace started (snapshot
-    /// reads and mailbox-path queries combined).
+    /// Semantic queries answered since the workspace started (refused
+    /// queries — unknown, poisoned, or without semantics — not counted).
     pub queries: u64,
-    /// Median semantic-query service latency (evaluation only, queue wait
-    /// excluded on the mailbox path; snapshot reads have no queue).
+    /// Median semantic-query service latency (evaluation on the caller's
+    /// thread; queries never queue).
     pub query_p50: Duration,
     /// 95th-percentile semantic-query service latency.
     pub query_p95: Duration,
     /// 99th-percentile semantic-query service latency.
     pub query_p99: Duration,
     /// Queries answered on the caller's thread from a published document
-    /// snapshot — the lock-free read path that never enters a mailbox.
+    /// snapshot — the read path that never enters a mailbox. Every
+    /// answered query is one, so this equals `queries`; the two are kept
+    /// apart so a read-share gauge (`snapshot_reads / queries`) stays
+    /// defined.
     pub snapshot_reads: u64,
     /// Maximum staleness observed at any snapshot read, in apply
     /// commands: accepted-but-unpublished applies at the moment of the

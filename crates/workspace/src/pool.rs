@@ -46,14 +46,11 @@ impl<T> PoolShared<T> {
         // still at zero. Transient overcount is harmless — `pending` is an
         // upper bound on queued items, and the sleep/shutdown protocol only
         // relies on `pending == 0` implying empty deques.
-        let pending = self.pending.fetch_add(1, Ordering::Release) + 1;
+        self.pending.fetch_add(1, Ordering::Release);
         self.deques[shard % n]
             .lock()
             .expect("deque lock")
             .push_back(item);
-        if *crate::workspace::TRACE {
-            eprintln!("pool.push shard={} pending={pending}", shard % n);
-        }
         let _guard = self.sleep.lock().expect("sleep lock");
         self.wake.notify_one();
     }
@@ -133,17 +130,6 @@ impl<T: Send + 'static> ShardPool<T> {
         }
         self.inner.push(shard, item);
         Ok(())
-    }
-
-    /// A [`Requeue`] handle for pushing from outside a handler (tests).
-    pub fn requeue_handle(&self) -> Requeue<T> {
-        Requeue(Arc::clone(&self.inner))
-    }
-
-    /// Items currently sitting on run-queues across all shards (racy
-    /// gauge; the workspace counts mailbox commands separately).
-    pub fn queue_depth(&self) -> usize {
-        self.inner.pending.load(Ordering::Relaxed)
     }
 
     /// `true` when no item is queued or executing. Because each worker
@@ -232,10 +218,7 @@ fn worker_loop<T, H: FnMut(T, bool)>(me: usize, shared: Arc<PoolShared<T>>, mut 
         }
         match found {
             Some((item, stolen)) => {
-                let left = shared.pending.fetch_sub(1, Ordering::Release) - 1;
-                if *crate::workspace::TRACE {
-                    eprintln!("pool.pop me={me} stolen={stolen} pending={left}");
-                }
+                shared.pending.fetch_sub(1, Ordering::Release);
                 shared.in_flight.fetch_add(1, Ordering::Release);
                 let t0 = Instant::now();
                 handler(item, stolen);
@@ -263,13 +246,7 @@ fn worker_loop<T, H: FnMut(T, bool)>(me: usize, shared: Arc<PoolShared<T>>, mut 
                     {
                         return;
                     }
-                    if *crate::workspace::TRACE {
-                        eprintln!("pool.sleep me={me}");
-                    }
                     guard = shared.wake.wait(guard).expect("sleep lock");
-                    if *crate::workspace::TRACE {
-                        eprintln!("pool.wake me={me}");
-                    }
                 }
             }
         }

@@ -1,106 +1,12 @@
-//! Hand-rolled channel primitives — `Mutex` + `Condvar` only, no external
-//! dependencies and no `unsafe`.
+//! The reply slot behind every mailbox command — `Mutex` + `Condvar`
+//! only, no external dependencies and no `unsafe`.
 //!
-//! Two shapes cover everything the workspace needs:
-//!
-//! * [`BoundedQueue`] — a multi-producer single-consumer work queue with a
-//!   hard capacity. Producers *block* when the queue is full (backpressure:
-//!   a flood of edits slows the callers down instead of growing memory
-//!   without bound), and a closed queue refuses new work while the consumer
-//!   drains what was already accepted — the graceful-shutdown contract.
-//! * [`oneshot`] — a single-value reply slot. The worker sends exactly one
-//!   result; the caller blocks until it arrives. If the sender is dropped
-//!   without sending (a worker died), the receiver wakes with `None`
-//!   instead of deadlocking.
+//! [`oneshot`] is a single-value reply slot. The worker sends exactly one
+//! result; the caller blocks until it arrives. If the sender is dropped
+//! without sending (a worker died, or shutdown swept the command), the
+//! receiver wakes with `None` instead of deadlocking.
 
-use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
-
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A blocking bounded MPSC queue built on `Mutex`/`Condvar`.
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// A queue accepting at most `cap` in-flight items (`cap >= 1`).
-    pub fn new(cap: usize) -> BoundedQueue<T> {
-        BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(cap.max(1)),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap: cap.max(1),
-        }
-    }
-
-    /// Enqueues `item`, blocking while the queue is at capacity.
-    ///
-    /// # Errors
-    ///
-    /// Returns the item back if the queue was closed before space opened.
-    pub fn push(&self, item: T) -> Result<(), T> {
-        let mut st = self.state.lock().expect("queue lock");
-        loop {
-            if st.closed {
-                return Err(item);
-            }
-            if st.items.len() < self.cap {
-                break;
-            }
-            st = self.not_full.wait(st).expect("queue lock");
-        }
-        st.items.push_back(item);
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
-    /// Dequeues the next item, blocking while the queue is empty and open.
-    /// Returns `None` once the queue is closed **and** fully drained —
-    /// work accepted before the close is always delivered.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                drop(st);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).expect("queue lock");
-        }
-    }
-
-    /// Closes the queue: pending `push` calls fail, queued items remain
-    /// poppable, and consumers see `None` after the drain.
-    pub fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    /// Items currently queued (a racy gauge, for metrics).
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").items.len()
-    }
-
-    /// Whether the queue is currently empty (racy, for metrics).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 struct SlotState<T> {
     value: Option<T>,
@@ -168,69 +74,6 @@ impl<T> OneShotReceiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::time::Duration;
-
-    #[test]
-    fn queue_roundtrip_fifo() {
-        let q = BoundedQueue::new(4);
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn push_blocks_at_capacity_until_pop() {
-        let q = Arc::new(BoundedQueue::new(2));
-        q.push(0).unwrap();
-        q.push(1).unwrap();
-        let pushed = Arc::new(AtomicUsize::new(0));
-        let handle = {
-            let q = Arc::clone(&q);
-            let pushed = Arc::clone(&pushed);
-            std::thread::spawn(move || {
-                q.push(2).unwrap(); // must block: capacity 2 reached
-                pushed.store(1, Ordering::SeqCst);
-            })
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(pushed.load(Ordering::SeqCst), 0, "push ran past capacity");
-        assert_eq!(q.pop(), Some(0));
-        handle.join().unwrap();
-        assert_eq!(pushed.load(Ordering::SeqCst), 1);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-    }
-
-    #[test]
-    fn closed_queue_refuses_new_work_but_drains_old() {
-        let q = BoundedQueue::new(4);
-        q.push("kept").unwrap();
-        q.close();
-        assert_eq!(q.push("refused"), Err("refused"));
-        assert_eq!(q.pop(), Some("kept"), "accepted work survives the close");
-        assert_eq!(q.pop(), None, "then the consumer sees the end");
-    }
-
-    #[test]
-    fn close_unblocks_a_full_queue_producer() {
-        let q = Arc::new(BoundedQueue::new(1));
-        q.push(0).unwrap();
-        let handle = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(1))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert_eq!(
-            handle.join().unwrap(),
-            Err(1),
-            "blocked push fails on close"
-        );
-    }
 
     #[test]
     fn oneshot_delivers() {

@@ -46,18 +46,22 @@
 //! queries are answered **on the caller's thread** from that snapshot:
 //! they never enter the mailbox, never wait behind edits, and any number
 //! of them run concurrently against one version while the owner shard
-//! keeps reparsing the next. The mailbox query path survives as the
-//! fallback for documents without a published snapshot (open still in
-//! flight, poisoned, closed), which also preserves the exact error
-//! answers for those states.
+//! keeps reparsing the next. The slot that holds the snapshot also holds
+//! the reason when there is none, so a query answers from the slot alone:
+//! [`WorkspaceError::UnknownDoc`] before the open has returned and after
+//! a close, [`WorkspaceError::Poisoned`] after a panic, and
+//! [`WorkspaceError::NoSemantics`] when the document was opened without a
+//! semantic pass.
 //!
 //! ## Failure isolation
 //!
 //! A panicking operation (a bounds-violating edit, a parser invariant
 //! failure) is caught on the worker and poisons *only its own document*:
-//! the session is dropped and the poisoned flag lives in the document
-//! slot, so it follows the document across migrations — later commands
-//! answer [`WorkspaceError::Poisoned`] no matter which shard serves them.
+//! the session is dropped and the poisoned mark replaces the published
+//! snapshot in the document slot, so it follows the document across
+//! migrations — later commands and queries answer
+//! [`WorkspaceError::Poisoned`] no matter which shard or thread serves
+//! them.
 //! Shutdown refuses new commands, drains every scheduled document, joins
 //! the workers, then sweeps mailboxes so any caller that raced the close
 //! observes [`WorkspaceError::ShuttingDown`] instead of hanging.
@@ -167,8 +171,9 @@ impl fmt::Display for WorkspaceError {
 
 impl std::error::Error for WorkspaceError {}
 
-/// A semantic question addressed to one document (answered on its current
-/// owner shard from the session-resident [`SemState`], no dag re-walk).
+/// A semantic question addressed to one document (answered on the calling
+/// thread from the document's published snapshot, whose semantic view is
+/// frozen from the session-resident [`SemState`] — no dag re-walk).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SemQuery {
     /// Resolve the identifier at a byte offset.
@@ -263,35 +268,6 @@ impl PendingApply {
     }
 }
 
-/// An in-flight asynchronous query (see [`Workspace::query_async`]).
-/// Queries served from a published snapshot are already answered when
-/// this handle is returned; mailbox-fallback queries resolve when the
-/// owner shard replies.
-#[must_use = "wait() retrieves the answer; dropping loses it"]
-pub struct PendingQuery {
-    inner: PendingQueryInner,
-}
-
-enum PendingQueryInner {
-    /// Answered on the caller's thread from the published snapshot.
-    Ready(Result<SemAnswer, WorkspaceError>),
-    /// Queued in the document's mailbox (no snapshot was available).
-    Mailbox(OneShotReceiver<Result<SemAnswer, WorkspaceError>>),
-}
-
-impl PendingQuery {
-    /// Retrieves the answer, blocking only if the query went through the
-    /// mailbox fallback.
-    pub fn wait(self) -> Result<SemAnswer, WorkspaceError> {
-        match self.inner {
-            PendingQueryInner::Ready(answer) => answer,
-            PendingQueryInner::Mailbox(rx) => {
-                rx.recv().unwrap_or(Err(WorkspaceError::ShuttingDown))
-            }
-        }
-    }
-}
-
 /// Commands queued in a document's mailbox.
 enum Cmd {
     Open {
@@ -299,10 +275,6 @@ enum Cmd {
         text: String,
         semantics: bool,
         reply: OneShotSender<Result<(), WorkspaceError>>,
-    },
-    Query {
-        query: SemQuery,
-        reply: OneShotSender<Result<SemAnswer, WorkspaceError>>,
     },
     Apply {
         edits: Vec<EditReq>,
@@ -458,7 +430,21 @@ impl Mailbox {
 struct DocState {
     session: Option<Session>,
     seq: u64,
-    poisoned: bool,
+}
+
+/// What a reader finds in a document slot: the published snapshot, or why
+/// there is none. One value behind one lock, so a reader never sees a
+/// retracted snapshot without its reason.
+#[derive(Clone)]
+enum ReadSlot {
+    /// Nothing published: the open has not returned, or the document was
+    /// closed.
+    Unpublished,
+    /// The latest published version.
+    Published(Arc<Snapshot>),
+    /// A panicked operation dropped the session; the id stays dead until
+    /// it is closed.
+    Poisoned,
 }
 
 /// One document: its mailbox (scheduling + FIFO) and its session state.
@@ -468,12 +454,10 @@ struct DocSlot {
     doc: DocId,
     mailbox: Mailbox,
     state: Mutex<DocState>,
-    /// The latest published snapshot — the lock-free-in-spirit read slot
-    /// (a `Mutex` held only for the `Arc` clone/swap, never across a
-    /// query). `None` until the open completes and again after poison or
-    /// close, which routes readers to the mailbox fallback and its exact
-    /// error answers.
-    snapshot: Mutex<Option<Arc<Snapshot>>>,
+    /// The read slot — the latest published snapshot or the poisoned
+    /// mark (a `Mutex` held only for the clone/swap, never across a
+    /// query).
+    read: Mutex<ReadSlot>,
     /// Command seq the published snapshot reflects (the writer's publish
     /// watermark).
     snap_seq: AtomicU64,
@@ -486,30 +470,39 @@ struct DocSlot {
 }
 
 impl DocSlot {
-    /// The published snapshot, if any (an `Arc` clone; the lock is not
-    /// held while the caller queries).
-    fn read_snapshot(&self) -> Option<Arc<Snapshot>> {
-        self.snapshot.lock().expect("snapshot slot lock").clone()
+    /// The read slot's current value (an `Arc` clone at most; the lock is
+    /// not held while the caller queries).
+    fn read(&self) -> ReadSlot {
+        self.read.lock().expect("read slot lock").clone()
     }
 
-    /// Swaps in a fresh snapshot (or clears it on poison/close).
-    fn publish_snapshot(&self, snap: Option<Arc<Snapshot>>) {
-        *self.snapshot.lock().expect("snapshot slot lock") = snap;
+    /// Swaps the read slot's value.
+    fn set_read(&self, value: ReadSlot) {
+        *self.read.lock().expect("read slot lock") = value;
     }
-}
 
-/// Scheduling-protocol tracing, enabled by the `WG_TRACE` env var —
-/// diagnostic only, compiled in but a single cached boolean check when off.
-macro_rules! wg_trace {
-    ($($arg:tt)*) => {
-        if *crate::workspace::TRACE {
-            eprintln!($($arg)*);
+    /// Publishes `session`'s current version and samples its pin gauge.
+    /// The gauge is read after the swap, so the outgoing snapshot's pin
+    /// (released by the swap unless a reader still holds a clone) is not
+    /// counted.
+    fn publish(&self, session: &mut Session) {
+        self.set_read(ReadSlot::Published(session.publish()));
+        self.pinned
+            .store(session.arena().live_pins() as u64, Ordering::Relaxed);
+    }
+
+    /// Checks the session out of the slot, or names why there is none.
+    fn check_out(&self) -> Result<(Session, u64), WorkspaceError> {
+        let mut st = self.state.lock().expect("doc state lock");
+        match st.session.take() {
+            Some(session) => Ok((session, st.seq)),
+            None if matches!(self.read(), ReadSlot::Poisoned) => {
+                Err(WorkspaceError::Poisoned(self.doc))
+            }
+            None => Err(WorkspaceError::UnknownDoc(self.doc)),
         }
-    };
+    }
 }
-
-pub(crate) static TRACE: std::sync::LazyLock<bool> =
-    std::sync::LazyLock::new(|| std::env::var_os("WG_TRACE").is_some());
 
 /// Counters shared by all shards and the front end.
 struct Shared {
@@ -652,7 +645,6 @@ impl Workspace {
         match slot.mailbox.push(cmd, &self.shared.depth) {
             Err(_) => Err(WorkspaceError::ShuttingDown),
             Ok(Some(shard)) => {
-                wg_trace!("submit doc={} schedule shard={shard}", slot.doc.0);
                 if self.pool.submit(shard, Arc::clone(slot)).is_err() {
                     // Raced the close: the command sits in the mailbox and
                     // the shutdown sweep will drop it (reply: ShuttingDown).
@@ -660,10 +652,7 @@ impl Workspace {
                 }
                 Ok(())
             }
-            Ok(None) => {
-                wg_trace!("submit doc={} already-scheduled", slot.doc.0);
-                Ok(())
-            }
+            Ok(None) => Ok(()),
         }
     }
 
@@ -726,9 +715,8 @@ impl Workspace {
             state: Mutex::new(DocState {
                 session: None,
                 seq: 0,
-                poisoned: false,
             }),
-            snapshot: Mutex::new(None),
+            read: Mutex::new(ReadSlot::Unpublished),
             snap_seq: AtomicU64::new(0),
             latest_seq: AtomicU64::new(0),
             pinned: AtomicU64::new(0),
@@ -759,64 +747,41 @@ impl Workspace {
     /// Answers a semantic question from the document's latest published
     /// snapshot, **on the calling thread** — no mailbox, no shard, no
     /// waiting behind edits; any number of callers query concurrently
-    /// while the owner shard keeps editing. Service time lands in the
-    /// workspace's query latency histogram either way.
+    /// while the owner shard keeps editing. The answer reflects every
+    /// apply whose report was already delivered (publish happens before
+    /// apply replies), but not edits still in flight — snapshot isolation,
+    /// not FIFO ordering. Service time lands in the workspace's query
+    /// latency histogram.
     ///
     /// # Errors
     ///
+    /// [`WorkspaceError::UnknownDoc`] for an id that was never opened,
+    /// that was closed, or whose open has not returned yet (the open
+    /// publishes the first version just before it replies);
+    /// [`WorkspaceError::Poisoned`] for a poisoned document; and
     /// [`WorkspaceError::NoSemantics`] when the document was opened
-    /// without [`Workspace::open_with_semantics`], plus the usual
-    /// unknown/poisoned/shutdown errors.
+    /// without [`Workspace::open_with_semantics`].
     pub fn query(&self, doc: DocId, query: SemQuery) -> Result<SemAnswer, WorkspaceError> {
-        self.query_async(doc, query)?.wait()
-    }
-
-    /// Issues a semantic question without waiting for the answer.
-    ///
-    /// When the document has a published snapshot carrying a semantic
-    /// view, the query is answered immediately on the calling thread
-    /// against that version: the answer reflects every apply whose report
-    /// was already delivered (publish happens before apply replies), but
-    /// not edits still in flight — snapshot isolation, not FIFO ordering.
-    /// Otherwise (open still in flight, poisoned, closed, or a semantic
-    /// pass without snapshot support) the query falls back to the
-    /// document's mailbox and is answered on its owner shard in FIFO
-    /// order with the exact per-state errors.
-    ///
-    /// # Errors
-    ///
-    /// [`WorkspaceError::UnknownDoc`] immediately for unopened ids,
-    /// [`WorkspaceError::ShuttingDown`] when the workspace refused the
-    /// command.
-    pub fn query_async(&self, doc: DocId, query: SemQuery) -> Result<PendingQuery, WorkspaceError> {
-        let Some(slot) = self.slot_of(doc) else {
-            return Err(WorkspaceError::UnknownDoc(doc));
+        let slot = self.slot_of(doc).ok_or(WorkspaceError::UnknownDoc(doc))?;
+        let snap = match slot.read() {
+            ReadSlot::Published(snap) => snap,
+            ReadSlot::Unpublished => return Err(WorkspaceError::UnknownDoc(doc)),
+            ReadSlot::Poisoned => return Err(WorkspaceError::Poisoned(doc)),
         };
-        if let Some(snap) = slot.read_snapshot() {
-            if snap.has_semantics() {
-                let t0 = Instant::now();
-                let answer = answer_from_snapshot(&snap, &query);
-                self.shared.query_latency.record(t0.elapsed());
-                self.shared.queries.fetch_add(1, Ordering::Relaxed);
-                self.shared.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-                let lag = slot
-                    .latest_seq
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(slot.snap_seq.load(Ordering::Relaxed));
-                self.shared.snapshot_lag.fetch_max(lag, Ordering::Relaxed);
-                return Ok(PendingQuery {
-                    inner: PendingQueryInner::Ready(Ok(answer)),
-                });
-            }
-            // A snapshot without a semantic view: let the mailbox path
-            // produce its NoSemantics answer (and stay future-proof for
-            // passes that answer live but publish no view).
+        if !snap.has_semantics() {
+            return Err(WorkspaceError::NoSemantics(doc));
         }
-        let (reply, rx) = oneshot();
-        self.submit(&slot, Cmd::Query { query, reply })?;
-        Ok(PendingQuery {
-            inner: PendingQueryInner::Mailbox(rx),
-        })
+        let t0 = Instant::now();
+        let answer = answer_from_snapshot(&snap, &query);
+        self.shared.query_latency.record(t0.elapsed());
+        self.shared.queries.fetch_add(1, Ordering::Relaxed);
+        self.shared.snapshot_reads.fetch_add(1, Ordering::Relaxed);
+        let lag = slot
+            .latest_seq
+            .load(Ordering::Relaxed)
+            .saturating_sub(slot.snap_seq.load(Ordering::Relaxed));
+        self.shared.snapshot_lag.fetch_max(lag, Ordering::Relaxed);
+        Ok(answer)
     }
 
     /// Applies a batch of edits addressed to documents: each document's
@@ -1082,11 +1047,6 @@ fn process_slot(
     stolen: bool,
 ) {
     let (batch, migrated) = slot.mailbox.begin(me, &shared.depth);
-    wg_trace!(
-        "begin doc={} me={me} stolen={stolen} migrated={migrated} batch={}",
-        slot.doc.0,
-        batch.len()
-    );
     // A slot pops from a foreign deque exactly when its binding is stale.
     debug_assert_eq!(migrated, stolen);
     if migrated {
@@ -1103,26 +1063,24 @@ fn process_slot(
         }
     }
     exec_apply_run(shared, slot, run);
-    let requeued = slot.mailbox.finish();
-    wg_trace!("finish doc={} me={me} requeue={requeued:?}", slot.doc.0);
-    if let Some(shard) = requeued {
+    if let Some(shard) = slot.mailbox.finish() {
         requeue.push(shard, Arc::clone(slot));
     }
 }
 
-/// Marks the document dead: the session is dropped and the flag lives in
+/// Marks the document dead: the session is dropped and the mark lives in
 /// the slot, so the poison follows the document across migrations.
 fn poison(shared: &Shared, slot: &DocSlot) {
-    // Retract the published snapshot first so new readers fall back to the
-    // mailbox and observe Poisoned (readers already holding the Arc keep
-    // their immutable version — that is snapshot isolation, not a leak).
-    slot.publish_snapshot(None);
+    // One swap retracts the published snapshot and records why, so a
+    // concurrent reader sees either the old version or Poisoned (readers
+    // already holding the Arc keep their immutable version — that is
+    // snapshot isolation, not a leak).
+    slot.set_read(ReadSlot::Poisoned);
     slot.pinned.store(0, Ordering::Relaxed);
-    let mut st = slot.state.lock().expect("doc state lock");
-    if st.session.take().is_some() {
+    let session = slot.state.lock().expect("doc state lock").session.take();
+    if session.is_some() {
         shared.docs_open.fetch_sub(1, Ordering::Relaxed);
     }
-    st.poisoned = true;
     shared.docs_poisoned.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -1140,24 +1098,13 @@ fn exec_apply_run(
     }
     // Check the session out of the slot: on a panic it is simply dropped,
     // so no half-mutated tree is ever visible again.
-    let (mut session, base_seq) = {
-        let mut st = slot.state.lock().expect("doc state lock");
-        if st.poisoned {
-            drop(st);
+    let (mut session, base_seq) = match slot.check_out() {
+        Ok(checked_out) => checked_out,
+        Err(e) => {
             for (_, reply) in applies {
-                reply.send(Err(WorkspaceError::Poisoned(slot.doc)));
+                reply.send(Err(e.clone()));
             }
             return;
-        }
-        match st.session.take() {
-            Some(session) => (session, st.seq),
-            None => {
-                drop(st);
-                for (_, reply) in applies {
-                    reply.send(Err(WorkspaceError::UnknownDoc(slot.doc)));
-                }
-                return;
-            }
         }
     };
     let t0 = Instant::now();
@@ -1236,15 +1183,9 @@ fn exec_apply_run(
             // Publish the new version for snapshot readers *before* any
             // apply reply goes out: a caller that waited for its apply
             // always reads its own writes from the snapshot path.
-            let snap = session.publish();
             slot.snap_seq
                 .store(base_seq + applies.len() as u64, Ordering::Relaxed);
-            slot.publish_snapshot(Some(snap));
-            // Sample the pin gauge after the swap so the outgoing
-            // snapshot's pin (released by the swap unless a reader still
-            // holds a clone) is not counted.
-            slot.pinned
-                .store(session.arena().live_pins() as u64, Ordering::Relaxed);
+            slot.publish(&mut session);
             {
                 let mut st = slot.state.lock().expect("doc state lock");
                 st.seq = base_seq + applies.len() as u64;
@@ -1281,8 +1222,8 @@ fn exec_apply_run(
     }
 }
 
-/// Evaluates one [`SemQuery`] against a published snapshot (caller-thread
-/// read path; mirrors the owner-shard evaluation in [`exec_single`]).
+/// Evaluates one [`SemQuery`] against a published snapshot — the only
+/// query evaluator of the workspace.
 fn answer_from_snapshot(snap: &Snapshot, query: &SemQuery) -> SemAnswer {
     match query {
         SemQuery::ResolveAt(offset) => SemAnswer::Resolution(snap.info_at(*offset)),
@@ -1313,10 +1254,7 @@ fn exec_single(shared: &Shared, slot: &DocSlot, cmd: Cmd) {
             }));
             match opened {
                 Ok(Ok(mut session)) => {
-                    let snap = session.publish();
-                    slot.publish_snapshot(Some(snap));
-                    slot.pinned
-                        .store(session.arena().live_pins() as u64, Ordering::Relaxed);
+                    slot.publish(&mut session);
                     slot.state.lock().expect("doc state lock").session = Some(session);
                     shared.docs_open.fetch_add(1, Ordering::Relaxed);
                     reply.send(Ok(()));
@@ -1332,47 +1270,17 @@ fn exec_single(shared: &Shared, slot: &DocSlot, cmd: Cmd) {
             }
         }
         Cmd::Apply { .. } => unreachable!("apply commands are grouped into runs"),
-        Cmd::Query { query, reply } => {
-            let st = slot.state.lock().expect("doc state lock");
-            if st.poisoned {
-                drop(st);
-                reply.send(Err(WorkspaceError::Poisoned(slot.doc)));
-                return;
-            }
-            let Some(session) = st.session.as_ref() else {
-                drop(st);
-                reply.send(Err(WorkspaceError::UnknownDoc(slot.doc)));
-                return;
-            };
-            if session.semantics().is_none() {
-                drop(st);
-                reply.send(Err(WorkspaceError::NoSemantics(slot.doc)));
-                return;
-            }
-            let t0 = Instant::now();
-            let answer = match query {
-                SemQuery::ResolveAt(offset) => {
-                    SemAnswer::Resolution(session.semantic_info_at(offset))
-                }
-                SemQuery::UsesOf(name) => SemAnswer::Uses(session.semantic_uses_of(&name)),
-                SemQuery::AmbiguityAt(offset) => match session.semantic_info_at(offset) {
-                    Some(info) => SemAnswer::Ambiguity(info.ambiguous, info.resolved),
-                    None => SemAnswer::Ambiguity(false, false),
-                },
-            };
-            shared.query_latency.record(t0.elapsed());
-            shared.queries.fetch_add(1, Ordering::Relaxed);
-            drop(st);
-            reply.send(Ok(answer));
-        }
         Cmd::Close { reply } => {
-            slot.publish_snapshot(None);
+            // Closing also clears a poisoned tombstone.
+            slot.set_read(ReadSlot::Unpublished);
             slot.pinned.store(0, Ordering::Relaxed);
-            let existed = {
-                let mut st = slot.state.lock().expect("doc state lock");
-                st.poisoned = false; // closing clears the tombstone
-                st.session.take().is_some()
-            };
+            let existed = slot
+                .state
+                .lock()
+                .expect("doc state lock")
+                .session
+                .take()
+                .is_some();
             if existed {
                 shared.docs_open.fetch_sub(1, Ordering::Relaxed);
             }
@@ -1384,20 +1292,11 @@ fn exec_single(shared: &Shared, slot: &DocSlot, cmd: Cmd) {
             // reparse mutates the tree (full-damage rebuild over the
             // retained token tape when it swaps), so a panic poisons only
             // this document.
-            let mut session = {
-                let mut st = slot.state.lock().expect("doc state lock");
-                if st.poisoned {
-                    drop(st);
-                    reply.send(Err(WorkspaceError::Poisoned(slot.doc)));
+            let mut session = match slot.check_out() {
+                Ok((session, _)) => session,
+                Err(e) => {
+                    reply.send(Err(e));
                     return;
-                }
-                match st.session.take() {
-                    Some(session) => session,
-                    None => {
-                        drop(st);
-                        reply.send(Err(WorkspaceError::UnknownDoc(slot.doc)));
-                        return;
-                    }
                 }
             };
             let before = session.grammar_swaps();
@@ -1414,10 +1313,7 @@ fn exec_single(shared: &Shared, slot: &DocSlot, cmd: Cmd) {
                         shared.grammar_swaps.fetch_add(1, Ordering::Relaxed);
                         // Republish so snapshot readers see the new
                         // grammar's tree and semantic view.
-                        let snap = session.publish();
-                        slot.publish_snapshot(Some(snap));
-                        slot.pinned
-                            .store(session.arena().live_pins() as u64, Ordering::Relaxed);
+                        slot.publish(&mut session);
                     }
                     // "Adopted" is judged against the broadcast's slot and
                     // epoch, not against whether *this* reparse swapped: an

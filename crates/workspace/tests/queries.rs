@@ -1,14 +1,15 @@
-//! Semantic query integration tests: the `Cmd::Query` path answers from
-//! the session-resident incremental [`wg_sem::SemState`] on the home
-//! shard, stays consistent across edits, and records its service time in
-//! the workspace metrics.
+//! Semantic query integration tests: `Workspace::query` answers on the
+//! caller's thread from the document's published snapshot (dag, token
+//! tape and frozen semantic view), stays consistent across edits, records
+//! its service time in the workspace metrics, and names the document's
+//! state when it cannot answer.
 
 use wg_core::SemNameKind;
 use wg_langs::simp_c;
-use wg_workspace::{EditReq, SemAnswer, SemQuery, Workspace, WorkspaceError};
+use wg_workspace::{DocId, EditReq, SemAnswer, SemQuery, Workspace, WorkspaceError};
 
 #[test]
-fn resolve_uses_and_ambiguity_queries_answer_on_home_shard() {
+fn resolve_uses_and_ambiguity_queries_answer_from_the_snapshot() {
     let cfg = simp_c();
     let ws = Workspace::new(2, 16);
     let text = "typedef int t; t (x); int v; v = v + 1;";
@@ -113,4 +114,59 @@ fn query_latency_lands_in_workspace_metrics() {
     );
     assert!(m.query_p99 >= m.query_p50);
     ws.shutdown();
+}
+
+/// Every query kind, for the error-state checks.
+fn all_queries() -> [SemQuery; 3] {
+    [
+        SemQuery::ResolveAt(4),
+        SemQuery::UsesOf("a".to_string()),
+        SemQuery::AmbiguityAt(4),
+    ]
+}
+
+#[test]
+fn queries_answer_errors_for_unknown_closed_poisoned_and_plain_documents() {
+    let cfg = simp_c();
+    let ws = Workspace::new(2, 16);
+
+    // Never opened.
+    let ghost = DocId(1 << 40);
+    for q in all_queries() {
+        assert_eq!(ws.query(ghost, q), Err(WorkspaceError::UnknownDoc(ghost)));
+    }
+
+    // Opened with semantics, then closed.
+    let closed = ws.open_with_semantics(&cfg, "int a; a = a;").unwrap();
+    assert!(ws.close(closed));
+    for q in all_queries() {
+        assert_eq!(ws.query(closed, q), Err(WorkspaceError::UnknownDoc(closed)));
+    }
+
+    // Poisoned by an out-of-range edit: the panic kills the session, the
+    // tombstone keeps answering.
+    let victim = ws.open_with_semantics(&cfg, "int a; a = a;").unwrap();
+    let r = ws.apply(vec![(victim, vec![EditReq::replace(1 << 30, 1, "x")])]);
+    assert_eq!(r[0].result, Err(WorkspaceError::Poisoned(victim)));
+    for q in all_queries() {
+        assert_eq!(ws.query(victim, q), Err(WorkspaceError::Poisoned(victim)));
+    }
+
+    // Opened without a semantic pass.
+    let plain = ws.open_with(&cfg, "int a; a = a;").unwrap();
+    for q in all_queries() {
+        assert_eq!(ws.query(plain, q), Err(WorkspaceError::NoSemantics(plain)));
+    }
+
+    // A healthy document beside them still answers.
+    let live = ws.open_with_semantics(&cfg, "int a; a = a;").unwrap();
+    match ws.query(live, SemQuery::UsesOf("a".to_string())).unwrap() {
+        SemAnswer::Uses(sites) => assert_eq!(sites.len(), 2),
+        other => panic!("expected use sites, got {other:?}"),
+    }
+
+    let m = ws.shutdown();
+    assert_eq!(m.queries, 1, "refused queries are not counted as answered");
+    assert_eq!(m.snapshot_reads, m.queries);
+    assert_eq!(m.docs_poisoned, 1);
 }
