@@ -7,66 +7,164 @@
 //!
 //! We parse identical token streams with the deterministic incremental
 //! parser (batch mode) and the IGLR parser (batch mode: GLR over a
-//! terminal-only input stream), and report total times plus the
-//! parse-vs-lex split.
+//! terminal-only input stream). Each parser is timed `runs` times in this
+//! process, the two alternating which goes first, and the medians are
+//! reported, with the median of the per-run ratios. A second table times
+//! the IGLR batch parse of a full-scale C document of the size a
+//! grammar-swap adoption reparses (typedef ambiguity kept, so the parse
+//! forks), and both tables report the share of reductions that took the
+//! deterministic fast path.
 //!
-//! Run: `cargo run --release -p wg-bench --bin sec5_batch [lines]`
+//! Run: `cargo run --release -p wg-bench --bin sec5_batch [lines] [runs]`
 
+use std::time::{Duration, Instant};
 use wg_bench::{fmt_dur, print_table, time_once, tokenize};
-use wg_core::IglrParser;
-use wg_dag::DagArena;
-use wg_langs::generate::{c_program, GenSpec};
-use wg_langs::simp_c_det;
+use wg_core::{IglrParser, IglrRunStats, SessionConfig};
+use wg_dag::{DagArena, NodeId};
+use wg_glr::ParseScratch;
+use wg_grammar::Terminal;
+use wg_langs::generate::{c_program, full_c_program, GenSpec};
+use wg_langs::{full_c, simp_c_det};
 use wg_sentential::IncLrParser;
 
+/// Runs per parser unless given on the command line (at least 7).
+const DEFAULT_RUNS: usize = 9;
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+fn secs(d: Duration) -> f64 {
+    d.as_secs_f64()
+}
+
+/// One IGLR batch parse from fresh terminals, as `parse_tokens` runs it,
+/// returning its time and counters.
+fn iglr_once(cfg: &SessionConfig, pairs: &[(Terminal, &str)]) -> (Duration, IglrRunStats) {
+    let parser = IglrParser::new(cfg.grammar(), cfg.table());
+    let t0 = Instant::now();
+    let mut arena = DagArena::new();
+    arena.begin_epoch();
+    let nodes: Vec<NodeId> = pairs.iter().map(|&(t, s)| arena.terminal(t, s)).collect();
+    let mut scratch = ParseScratch::new();
+    let (_root, stats) = parser
+        .parse_terminal_nodes_in(&mut scratch, &mut arena, &nodes)
+        .expect("parses");
+    (t0.elapsed(), stats)
+}
+
+fn det_once(det: &IncLrParser<'_>, pairs: &[(Terminal, &str)]) -> Duration {
+    let t0 = Instant::now();
+    let mut arena = DagArena::new();
+    det.parse_tokens(&mut arena, pairs.iter().copied())
+        .expect("parses");
+    t0.elapsed()
+}
+
+fn fast_share(s: &IglrRunStats) -> String {
+    format!(
+        "{:.1}%",
+        100.0 * s.fast_reductions as f64 / s.reductions.max(1) as f64
+    )
+}
+
+fn per_token(t: f64, tokens: usize) -> String {
+    format!("{:.0} ns", t * 1e9 / tokens as f64)
+}
+
 fn main() {
-    let lines: usize = std::env::args()
-        .nth(1)
+    let mut args = std::env::args().skip(1);
+    let lines: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(8_000);
+    let runs: usize = args
+        .next()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(8_000);
+        .unwrap_or(DEFAULT_RUNS)
+        .max(7);
     let cfg = simp_c_det();
     let program = c_program(&GenSpec::sized(lines, 0.0, 99));
 
     let (tokens, lex_time) = time_once(|| tokenize(&cfg, &program.text));
-    let pairs: Vec<(wg_grammar::Terminal, &str)> =
-        tokens.iter().map(|(t, s)| (*t, s.as_str())).collect();
-
+    let pairs: Vec<(Terminal, &str)> = tokens.iter().map(|(t, s)| (*t, s.as_str())).collect();
     let det = IncLrParser::new(cfg.grammar(), cfg.table()).expect("deterministic");
-    let iglr = IglrParser::new(cfg.grammar(), cfg.table());
 
-    let (_r1, t_det) = time_once(|| {
-        let mut arena = DagArena::new();
-        det.parse_tokens(&mut arena, pairs.iter().copied())
-            .expect("parses")
-    });
-    let (_r2, t_iglr) = time_once(|| {
-        let mut arena = DagArena::new();
-        iglr.parse_tokens(&mut arena, pairs.iter().copied())
-            .expect("parses")
-    });
-
-    let per_tok =
-        |t: std::time::Duration| format!("{:.0} ns", t.as_nanos() as f64 / tokens.len() as f64);
+    // One untimed pair warms the allocator and caches for both parsers.
+    det_once(&det, &pairs);
+    let (_, simp_stats) = iglr_once(&cfg, &pairs);
+    let (mut t_det, mut t_iglr, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..runs {
+        let (d, g) = if i % 2 == 0 {
+            let d = det_once(&det, &pairs);
+            (d, iglr_once(&cfg, &pairs).0)
+        } else {
+            let g = iglr_once(&cfg, &pairs).0;
+            (det_once(&det, &pairs), g)
+        };
+        t_det.push(secs(d));
+        t_iglr.push(secs(g));
+        ratios.push(secs(g) / secs(d));
+    }
+    let (t_det, t_iglr) = (median(t_det), median(t_iglr));
     let rows = vec![
         vec![
             "deterministic (state-matching)".into(),
-            fmt_dur(t_det),
-            per_tok(t_det),
+            fmt_dur(Duration::from_secs_f64(t_det)),
+            per_token(t_det, tokens.len()),
+            "—".into(),
         ],
-        vec!["IGLR (batch mode)".into(), fmt_dur(t_iglr), per_tok(t_iglr)],
+        vec![
+            "IGLR (batch mode)".into(),
+            fmt_dur(Duration::from_secs_f64(t_iglr)),
+            per_token(t_iglr, tokens.len()),
+            fast_share(&simp_stats),
+        ],
     ];
     print_table(
         "Section 5 — initial parse, typedef ambiguity removed",
-        &["parser", "parse time", "per token"],
+        &["parser", "parse time", "per token", "fast-path reductions"],
         &rows,
     );
     println!(
-        "\ntokens: {}   lexing: {}   IGLR/deterministic parse-time ratio: {:.2}x",
+        "\ntokens: {}   lexing: {}   runs: {runs} per parser (medians, alternating order)\n\
+         IGLR/deterministic parse-time ratio: {:.2}x (median of per-run ratios)",
         tokens.len(),
         fmt_dur(lex_time),
-        t_iglr.as_secs_f64() / t_det.as_secs_f64()
+        median(ratios)
     );
     println!(
         "(paper: parsing proper was 12% of total analysis time for the\n deterministic parser vs 15% for IGLR — an implied parse-time ratio of\n ~1.25x; in an environment, node construction and semantic analysis\n dominate and the GLR machinery is a rounding error)"
+    );
+
+    // A full-scale C document of the size a grammar-swap adoption
+    // reparses. Its table has conflicts, so only IGLR parses it.
+    let fc = full_c();
+    let mut spec = GenSpec::sized(1_500, 0.02, 7);
+    spec.lit_call_rate = 0.15;
+    let fc_tokens = tokenize(&fc, &full_c_program(&spec).text);
+    let fc_pairs: Vec<(Terminal, &str)> = fc_tokens.iter().map(|(t, s)| (*t, s.as_str())).collect();
+    let (_, fc_stats) = iglr_once(&fc, &fc_pairs);
+    let t_fc = median(
+        (0..runs)
+            .map(|_| secs(iglr_once(&fc, &fc_pairs).0))
+            .collect(),
+    );
+    print_table(
+        "Batch IGLR parse of a full_c document (typedef ambiguity kept)",
+        &[
+            "tokens",
+            "parse time",
+            "per token",
+            "reductions",
+            "fast-path reductions",
+            "non-det rounds",
+        ],
+        &[vec![
+            fc_tokens.len().to_string(),
+            fmt_dur(Duration::from_secs_f64(t_fc)),
+            per_token(t_fc, fc_tokens.len()),
+            fc_stats.reductions.to_string(),
+            fast_share(&fc_stats),
+            fc_stats.nondeterministic_rounds.to_string(),
+        ]],
     );
 }

@@ -5,12 +5,12 @@
 
 use std::fmt;
 use wg_dag::{
-    rebalance_sequences, unshare_epsilon, DagArena, FxHashMap, FxHashSet, InputStream, NodeId,
-    NodeKind, ParseState,
+    rebalance_sequences, unshare_epsilon, DagArena, FxHashMap, InputStream, NodeId, NodeKind,
+    ParseState,
 };
 use wg_glr::{
     build_reduction_node, ps, same_derivation, Gss, GssIdx, Link, MergeTables, ParseScratch,
-    TablePolicy,
+    RoundSet, TablePolicy,
 };
 use wg_grammar::{Grammar, NonTerminal, ProdId, Terminal};
 use wg_lrtable::{Action, LrTable, StateId};
@@ -56,6 +56,9 @@ pub struct IglrRunStats {
     pub run_shifts: usize,
     /// Reductions performed.
     pub reductions: usize,
+    /// Reductions that took the deterministic fast path, building their
+    /// node without the merge tables (a subset of `reductions`).
+    pub fast_reductions: usize,
     /// Subtrees decomposed because reuse failed or the parse went
     /// non-deterministic.
     pub breakdowns: usize,
@@ -149,11 +152,12 @@ impl<'a> IglrParser<'a> {
         nodes: &[NodeId],
     ) -> Result<NodeId, IglrError> {
         let mut scratch = ParseScratch::new();
-        self.parse_terminal_nodes_in(&mut scratch, arena, nodes)
+        let (root, _stats) = self.parse_terminal_nodes_in(&mut scratch, arena, nodes)?;
+        Ok(root)
     }
 
     /// As [`IglrParser::parse_terminal_nodes`], but running inside a pooled
-    /// [`ParseScratch`].
+    /// [`ParseScratch`], and also returning the run's effort counters.
     ///
     /// # Errors
     ///
@@ -163,15 +167,15 @@ impl<'a> IglrParser<'a> {
         scratch: &mut ParseScratch,
         arena: &mut DagArena,
         nodes: &[NodeId],
-    ) -> Result<NodeId, IglrError> {
+    ) -> Result<(NodeId, IglrRunStats), IglrError> {
         let placeholder = arena.production(ProdId::AUGMENTED, ParseState::NONE, &[]);
         let root = arena.root(placeholder);
         let eos = arena.kids(root)[2];
         let stream = InputStream::over_terminals(arena, nodes, eos);
-        let (body, _stats) = self.drive(scratch, arena, stream)?;
+        let (body, stats, shared) = self.drive(scratch, arena, stream)?;
         arena.set_root_body(root, body);
-        self.finish(arena, root);
-        Ok(root)
+        self.finish(arena, root, shared);
+        Ok((root, stats))
     }
 
     /// Incrementally reparses the previous tree after damage marking.
@@ -213,7 +217,7 @@ impl<'a> IglrParser<'a> {
         arena.begin_epoch();
         let mut stream = InputStream::over_tree(arena, root, replacements);
         stream.append_before_eos(arena, appended);
-        let (body, stats) = match self.drive(scratch, arena, stream) {
+        let (body, stats, shared) = match self.drive(scratch, arena, stream) {
             Ok(ok) => ok,
             Err(e) => {
                 // The previous tree stays authoritative: restore the parent
@@ -223,7 +227,7 @@ impl<'a> IglrParser<'a> {
             }
         };
         arena.set_root_body(root, body);
-        self.finish(arena, root);
+        self.finish(arena, root, shared);
         Ok(stats)
     }
 
@@ -240,9 +244,16 @@ impl<'a> IglrParser<'a> {
         );
     }
 
-    fn finish(&self, arena: &mut DagArena, root: NodeId) {
-        arena.refresh_parents(root);
-        unshare_epsilon(arena, root);
+    /// The post-passes of a successful run. Parent refresh repairs parent
+    /// pointers that a dead fork or a discarded re-derivation left behind,
+    /// and ε unsharing splits null-yield subtrees that sharing put in two
+    /// places; a run that `shared` nothing (see [`IglrRun::shared`]) leaves
+    /// neither to do, so both are skipped.
+    fn finish(&self, arena: &mut DagArena, root: NodeId, shared: bool) {
+        if shared {
+            arena.refresh_parents(root);
+            unshare_epsilon(arena, root);
+        }
         rebalance_sequences(
             arena,
             root,
@@ -258,7 +269,7 @@ impl<'a> IglrParser<'a> {
         scratch: &mut ParseScratch,
         arena: &mut DagArena,
         stream: InputStream,
-    ) -> Result<(NodeId, IglrRunStats), IglrError> {
+    ) -> Result<(NodeId, IglrRunStats, bool), IglrError> {
         scratch.begin_run();
         let ParseScratch {
             gss,
@@ -274,6 +285,8 @@ impl<'a> IglrParser<'a> {
         let mut run = IglrRun {
             g: self.g,
             table: self.table,
+            only_terminals: stream.holds_only_terminals(arena),
+            shared: false,
             gss,
             merge,
             active,
@@ -297,7 +310,8 @@ impl<'a> IglrParser<'a> {
             if let Some(acc) = run.accepting {
                 let body = run.gss.links(acc)[0].node;
                 run.stats.gss_nodes = run.gss.len();
-                return Ok((body, run.stats));
+                let shared = run.shared || run.stats.nondeterministic_rounds > 0;
+                return Ok((body, run.stats, shared));
             }
             if redla.is_eof() || run.for_shifter.is_empty() {
                 return Err(IglrError {
@@ -322,10 +336,21 @@ impl<'a> IglrParser<'a> {
 struct IglrRun<'a> {
     g: &'a Grammar,
     table: &'a LrTable,
+    /// Whether the input stream held terminals only when the run began (a
+    /// batch parse: `Session::new`, grammar-swap adoption, `parse_tokens`).
+    /// Such a run takes the fast path whenever one parser is left to act;
+    /// a run over a previous tree only while the frontier is one node (see
+    /// [`IglrRun::deterministic`]).
+    only_terminals: bool,
+    /// Whether the run may have shared a node or left a dead one behind:
+    /// set by every GSS merge and every reduction through the merge tables.
+    /// Together with a fork (a non-deterministic round) it decides whether
+    /// the post-passes run.
+    shared: bool,
     gss: &'a mut Gss,
     merge: &'a mut MergeTables,
     active: &'a mut Vec<GssIdx>,
-    queued: &'a mut FxHashSet<GssIdx>,
+    queued: &'a mut RoundSet,
     for_actor: &'a mut Vec<GssIdx>,
     for_shifter: &'a mut Vec<(GssIdx, StateId)>,
     accepting: Option<GssIdx>,
@@ -361,12 +386,16 @@ impl IglrRun<'_> {
     /// One reduce/accept round against the reduction lookahead `redla`.
     fn round(&mut self, arena: &mut DagArena, redla: Terminal) {
         self.merge.clear();
-        self.forward.clear();
+        if !self.forward.is_empty() {
+            self.forward.clear();
+        }
         self.for_shifter.clear();
         self.for_actor.clear();
         self.for_actor.extend_from_slice(self.active);
         self.queued.clear();
-        self.queued.extend(self.for_actor.iter().copied());
+        for &p in self.for_actor.iter() {
+            self.queued.insert(p);
+        }
         self.stats.max_parsers = self.stats.max_parsers.max(self.active.len());
         // Multiple links on one (state-merged) GSS node are as
         // non-deterministic as multiple parsers: reductions through them are
@@ -376,7 +405,7 @@ impl IglrRun<'_> {
             self.multi = true;
         }
         while let Some(p) = self.for_actor.pop() {
-            self.queued.remove(&p);
+            self.queued.remove(p);
             self.actor(arena, p, redla);
         }
         if self.multi {
@@ -400,10 +429,33 @@ impl IglrRun<'_> {
     fn reactivate_frontier(&mut self) {
         for i in 0..self.active.len() {
             let m = self.active[i];
-            if !self.queued.contains(&m) {
+            if self.queued.insert(m) {
                 self.for_actor.push(m);
-                self.queued.insert(m);
             }
+        }
+    }
+
+    /// Whether parser `p`, just taken off the worklist, may act as the
+    /// deterministic LR parser: the round has not forked and no other
+    /// parser can still act.
+    ///
+    /// Over a terminal-only input that means nothing else is queued or
+    /// pending a shift and `p` is no merge point (at most one link).
+    /// Frontier nodes that already acted this round do not count: a goto
+    /// can reach one only as a GSS merge, which takes the general path.
+    ///
+    /// A run over a previous tree keeps the stricter rule that the
+    /// frontier is `p` alone. There, subtree shifts and breakdowns decide
+    /// what the frontier holds, and applying the relaxed rule changes which
+    /// edits the reuse path incorporates.
+    fn deterministic(&self, p: GssIdx) -> bool {
+        if self.multi {
+            return false;
+        }
+        if self.only_terminals {
+            self.for_actor.is_empty() && self.for_shifter.is_empty() && self.gss.links(p).len() <= 1
+        } else {
+            self.active.len() == 1
         }
     }
 
@@ -413,7 +465,7 @@ impl IglrRun<'_> {
         // uniform-reduce state performs its reduction without consulting the
         // lookahead column at all (yacc's error-delay semantics: an invalid
         // lookahead is still rejected before anything shifts it).
-        if !self.multi && self.active.len() == 1 {
+        if self.deterministic(p) {
             if let Some(rule) = self.table.default_reduction(state) {
                 self.reduce_action(arena, p, rule);
                 return;
@@ -446,9 +498,17 @@ impl IglrRun<'_> {
 
     /// Performs one Reduce action for parser `p`: gathers every GSS path of
     /// the production's arity and dispatches each to the limited or general
-    /// reducer.
+    /// reducer. A deterministic parser on a single-link chain reads its one
+    /// path straight off the chain.
     fn reduce_action(&mut self, arena: &mut DagArena, p: GssIdx, rule: ProdId) {
         let arity = self.g.production(rule).arity();
+        let det = self.deterministic(p);
+        if det {
+            if let Some(q) = self.chain_path(p, arity) {
+                self.fast_reducer(arena, q, rule, 0, arity as u32);
+                return;
+            }
+        }
         self.work.clear();
         self.path_slab.clear();
         let (work, slab) = (&mut *self.work, &mut *self.path_slab);
@@ -460,7 +520,7 @@ impl IglrRun<'_> {
         if self.work.len() > 1 {
             self.multi = true;
         }
-        if !self.multi && self.active.len() == 1 && self.work.len() == 1 {
+        if det && !self.multi && self.work.len() == 1 {
             // Deterministic fast path: no sharing is possible,
             // so skip the merge tables entirely.
             let (q, off, len) = self.work.pop().expect("one path");
@@ -473,10 +533,31 @@ impl IglrRun<'_> {
         }
     }
 
-    /// The deterministic fast path: exactly one parser, one path, no
+    /// Reads the `arity` kids of a reduction from `p` into `path_slab`
+    /// when every GSS node on the way has exactly one link, returning the
+    /// path's tail; `None` (with the slab cleared) where the chain branches
+    /// or ends early, so the caller enumerates paths instead.
+    fn chain_path(&mut self, p: GssIdx, arity: usize) -> Option<GssIdx> {
+        self.path_slab.clear();
+        self.path_slab.resize(arity, NodeId::NONE);
+        let mut at = p;
+        for i in (0..arity).rev() {
+            let &[link] = self.gss.links(at) else {
+                self.path_slab.clear();
+                return None;
+            };
+            self.path_slab[i] = link.node;
+            at = link.head;
+        }
+        Some(at)
+    }
+
+    /// The deterministic fast path: one parser left to act, one path, no
     /// conflicts — no sharing is possible, so the merge tables are skipped.
     /// The GOTO target and merge-target scan are computed once here and
-    /// handed to the general path on the existing-link fallback.
+    /// handed to the general path when the goto lands on a node already in
+    /// the frontier: a GSS merge (unless that node is the whole frontier)
+    /// or a re-derivation of an existing edge.
     fn fast_reducer(&mut self, arena: &mut DagArena, q: GssIdx, rule: ProdId, off: u32, len: u32) {
         self.stats.reductions += 1;
         let range = off as usize..(off + len) as usize;
@@ -490,10 +571,10 @@ impl IglrRun<'_> {
             .find(|&&m| self.gss.state(m) == goto)
             .copied();
         if let Some(p) = target {
-            if self.gss.find_link(p, q).is_some() {
-                // Re-derivation of an existing edge: take the general path,
-                // reusing the goto and merge-target already computed. The
-                // reduction was counted above, once.
+            if self.active.len() > 1 || self.gss.find_link(p, q).is_some() {
+                // A GSS merge or a re-derivation of an existing edge: take
+                // the general path, reusing the goto and merge-target
+                // already computed. The reduction was counted above, once.
                 self.reduce_general(arena, q, rule, off, len, lhs, goto, target);
                 return;
             }
@@ -506,9 +587,10 @@ impl IglrRun<'_> {
                 false,
             );
             self.gss.add_link(p, Link { head: q, node });
-            if !self.queued.contains(&p) {
+            self.shared = true;
+            self.stats.fast_reductions += 1;
+            if self.queued.insert(p) {
                 self.for_actor.push(p);
-                self.queued.insert(p);
             }
         } else {
             let node = build_reduction_node(
@@ -523,6 +605,7 @@ impl IglrRun<'_> {
             self.active.push(p);
             self.for_actor.push(p);
             self.queued.insert(p);
+            self.stats.fast_reductions += 1;
         }
     }
 
@@ -557,6 +640,7 @@ impl IglrRun<'_> {
         goto: StateId,
         target: Option<GssIdx>,
     ) {
+        self.shared = true;
         let range = off as usize..(off + len) as usize;
         for i in range.clone() {
             let r = self.resolve(self.path_slab[i]);
@@ -720,6 +804,7 @@ impl IglrRun<'_> {
             let (p, s) = self.for_shifter[i];
             if let Some(&existing) = self.active.iter().find(|&&m| self.gss.state(m) == s) {
                 self.gss.add_link(existing, Link { head: p, node });
+                self.shared = true;
             } else {
                 let np = self.gss.push(s, Link { head: p, node });
                 self.active.push(np);

@@ -278,7 +278,7 @@ impl Session {
         }
         let mut scratch = ParseScratch::new();
         let parser = IglrParser::new(config.grammar(), config.table());
-        let root = parser
+        let (root, _stats) = parser
             .parse_terminal_nodes_in(&mut scratch, &mut arena, &token_nodes)
             .map_err(SessionError::ParseError)?;
         let mut tape = TokenTape::new();
@@ -332,7 +332,7 @@ impl Session {
         self.arena.begin_epoch();
         let parser = IglrParser::new(candidate.grammar(), candidate.table());
         match parser.parse_terminal_nodes_in(&mut self.scratch, &mut self.arena, &token_nodes) {
-            Ok(root) => {
+            Ok((root, _stats)) => {
                 self.root = root;
                 self.config = candidate;
                 self.last_snapshot = None;

@@ -212,6 +212,71 @@ impl Gss {
     }
 }
 
+/// A set of GSS nodes that empties itself when a new round starts: one
+/// round stamp per node instead of a hash set, so membership tests,
+/// inserts, removals and the per-round clear are each O(1) and hash
+/// nothing. The stamp vector grows to the largest GSS seen and is never
+/// shrunk, so a pooled set stops allocating once warm.
+#[derive(Debug, Clone)]
+pub struct RoundSet {
+    /// Per-node stamp; a node is a member iff its stamp equals `round`.
+    stamps: Vec<u32>,
+    /// The current round, never 0 (0 marks a removed or never-seen node).
+    round: u32,
+}
+
+impl Default for RoundSet {
+    fn default() -> RoundSet {
+        RoundSet {
+            stamps: Vec::new(),
+            round: 1,
+        }
+    }
+}
+
+impl RoundSet {
+    /// An empty set.
+    pub fn new() -> RoundSet {
+        RoundSet::default()
+    }
+
+    /// Empties the set by starting a new round.
+    pub fn clear(&mut self) {
+        self.round = self.round.wrapping_add(1);
+        if self.round == 0 {
+            // Wrapped: stamps from 2^32 rounds ago would read as members.
+            self.stamps.fill(0);
+            self.round = 1;
+        }
+    }
+
+    /// Whether `n` is in the set.
+    #[inline]
+    pub fn contains(&self, n: GssIdx) -> bool {
+        self.stamps.get(n.index()) == Some(&self.round)
+    }
+
+    /// Adds `n`; returns whether it was absent.
+    #[inline]
+    pub fn insert(&mut self, n: GssIdx) -> bool {
+        let i = n.index();
+        if i >= self.stamps.len() {
+            self.stamps.resize(i + 1, 0);
+        }
+        let fresh = self.stamps[i] != self.round;
+        self.stamps[i] = self.round;
+        fresh
+    }
+
+    /// Removes `n` if present.
+    #[inline]
+    pub fn remove(&mut self, n: GssIdx) {
+        if let Some(s) = self.stamps.get_mut(n.index()) {
+            *s = 0;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,5 +431,33 @@ mod tests {
             seen.push((tail, kids.len()));
         });
         assert_eq!(seen, vec![(bottom, 0)]);
+    }
+    #[test]
+    fn round_set_empties_per_round() {
+        let mut q = RoundSet::new();
+        let (a, b) = (GssIdx(0), GssIdx(7));
+        assert!(!q.contains(b), "unseen nodes are not members");
+        assert!(q.insert(a));
+        assert!(!q.insert(a), "second insert is a no-op");
+        assert!(q.insert(b));
+        q.remove(a);
+        assert!(!q.contains(a) && q.contains(b));
+        q.clear();
+        assert!(!q.contains(a) && !q.contains(b), "a new round starts empty");
+        assert!(q.insert(a));
+    }
+
+    #[test]
+    fn round_set_survives_stamp_wraparound() {
+        let mut q = RoundSet::new();
+        let a = GssIdx(3);
+        q.round = u32::MAX;
+        q.insert(a);
+        q.clear();
+        assert_eq!(q.round, 1, "round 0 is reserved");
+        assert!(!q.contains(a));
+        q.insert(a);
+        q.clear();
+        assert!(!q.contains(a));
     }
 }

@@ -30,7 +30,7 @@ mod merge;
 mod policy;
 mod scratch;
 
-pub use gss::{Gss, GssIdx, Link};
+pub use gss::{Gss, GssIdx, Link, RoundSet};
 pub use merge::{build_reduction_node, same_derivation, same_structure, MergeTables};
 pub use policy::{ps, sid, TablePolicy};
 pub use scratch::ParseScratch;

@@ -16,7 +16,8 @@
 //! The production table is a hand-rolled open-addressed map: keys are
 //! `(production, kids)` where the kid list lives in a pooled slab, so
 //! neither lookups nor inserts allocate a `Vec` key once the table is warm.
-//! [`MergeTables::clear`] retains every allocation for the next round.
+//! [`MergeTables::clear`] retains every allocation for the next round and
+//! skips a table nobody touched.
 
 use wg_dag::{fx_hash, DagArena, FxHashMap, NodeId, NodeKind, ParseState};
 use wg_grammar::{Grammar, NonTerminal, ProdId, ProdKind};
@@ -72,14 +73,21 @@ impl MergeTables {
         MergeTables::default()
     }
 
-    /// Clears both tables (start of each round), retaining allocations.
+    /// Clears both tables (start of each round), retaining allocations. A
+    /// round that never touched the tables (every reduction took the
+    /// deterministic fast path) costs O(1) here, not a walk of the whole
+    /// entry array.
     pub fn clear(&mut self) {
-        for e in &mut self.entries {
-            e.node = NodeId::NONE;
+        if self.len != 0 {
+            for e in &mut self.entries {
+                e.node = NodeId::NONE;
+            }
+            self.len = 0;
+            self.key_slab.clear();
         }
-        self.len = 0;
-        self.key_slab.clear();
-        self.symbols.clear();
+        if !self.symbols.is_empty() {
+            self.symbols.clear();
+        }
     }
 
     /// Probe steps taken over this table's lifetime (a Section 5-style cost

@@ -2,14 +2,15 @@
 //!
 //! The GLR driver needs the same transient machinery for every (re)parse:
 //! a GSS, the round-scoped merge tables, the active-parser and worklist
-//! vectors, and the proxy-upgrade forwarding map. Creating these afresh per parse makes every edit pay
+//! vectors, the worklist's membership stamps, and the proxy-upgrade
+//! forwarding map. Creating these afresh per parse makes every edit pay
 //! allocation costs proportional to past parses; a [`ParseScratch`] owned by
 //! a long-lived session is instead *cleared* between runs, so the hot
 //! reparse path reaches a steady state with no allocation at all.
 
-use crate::gss::{Gss, GssIdx};
+use crate::gss::{Gss, GssIdx, RoundSet};
 use crate::merge::MergeTables;
-use wg_dag::{FxHashMap, FxHashSet, NodeId};
+use wg_dag::{FxHashMap, NodeId};
 use wg_lrtable::StateId;
 
 /// Reusable scratch state for one GLR (re)parse.
@@ -27,8 +28,9 @@ pub struct ParseScratch {
     pub active: Vec<GssIdx>,
     /// Worklist of parsers still to act this round.
     pub for_actor: Vec<GssIdx>,
-    /// Members of `for_actor` (for idempotent re-activation).
-    pub queued: FxHashSet<GssIdx>,
+    /// Members of `for_actor` (for idempotent re-activation), as per-node
+    /// round stamps: the driver empties the set once per round in O(1).
+    pub queued: RoundSet,
     /// (parser, shift target) pairs for the end-of-round shift.
     pub for_shifter: Vec<(GssIdx, StateId)>,
     /// Proxy upgrades of the current round.
@@ -96,7 +98,7 @@ mod tests {
         assert!(s.gss.is_empty());
         assert!(s.active.is_empty());
         assert!(s.for_actor.is_empty());
-        assert!(s.queued.is_empty());
+        assert!(!s.queued.contains(b));
         assert!(s.for_shifter.is_empty());
         assert!(s.forward.is_empty());
         assert!(s.path_slab.is_empty());
