@@ -10,8 +10,8 @@
 //! same statement shape at the same relative document position
 //! ([`comparable_site`]), so the per-size numbers form a scaling curve
 //! rather than comparing unrelated syntactic contexts. The scaling table is
-//! also written to `BENCH_incremental.json` so CI can archive the
-//! trajectory.
+//! also written to `target/bench/BENCH_incremental.json` so CI can archive
+//! the trajectory; copying it over the committed file rebaselines.
 //!
 //! Run: `cargo run --release -p wg-bench --bin sec5_incremental \
 //!       [lines] [edits] [--quick] [--enforce-zero-alloc]`
@@ -22,8 +22,9 @@
 //! steady-state session and **fails the process** if any post-warm-up
 //! reparse takes a fresh node slot or grows the merge tables' key storage,
 //! or if any warm publish (made with no reader holding a snapshot) copies a
-//! chunk instead of patching it in place — the allocation-free hot path as a
-//! CI threshold.
+//! dag chunk instead of patching it in place, or if any warm edit copies a
+//! token-tape chunk or spine — the allocation-free hot path as a CI
+//! threshold.
 //!
 //! `--check-against <baseline.json>` turns the run into a **regression
 //! gate**: the fresh per-stage scaling medians are compared against the
@@ -243,7 +244,7 @@ fn regression_gate(baseline: &Baseline, fresh: &[ScalingRow]) -> bool {
 
 /// Per-edit reparse cost across document sizes: a single-token
 /// self-cancelling edit in 1k/10k/100k-token documents. With shared
-/// language artifacts, pooled parser scratch, the gap-buffered token tape,
+/// language artifacts, pooled parser scratch, the chunked token tape,
 /// damage-bounded relexing, and the rope-backed text buffer, every per-stage
 /// timing from [`wg_core::ReparseReport`] — including `buffer`, the text
 /// mutation itself — should stay flat as the document grows. Each size
@@ -413,7 +414,8 @@ fn scaling_sweep_with(
 ///
 /// Every reparse is followed by a publish whose snapshot is dropped at
 /// once, so no reader holds a version across the next publish: each warm
-/// publish must patch its chunks in place and copy **zero** of them.
+/// publish must patch its chunks in place and copy **zero** of them, and
+/// each warm splice of the token tape must copy no chunk and no spine.
 fn steady_state_zero_alloc_check(cfg: &wg_core::SessionConfig, quick: bool) -> bool {
     let program = c_program(&GenSpec::sized(150, 0.0, 7));
     let (start, len) = comparable_site(&program.text, 0.5).expect("generator emits var fillers");
@@ -434,6 +436,7 @@ fn steady_state_zero_alloc_check(cfg: &wg_core::SessionConfig, quick: bool) -> b
     let mut keys = 0u64;
     let mut recycled = 0u64;
     let copied0 = s.arena().publish_copied_chunks();
+    let tape_copied0 = s.tape().copied_chunks();
     let patched0 = s.arena().publish_patched_slots();
     for _ in 0..check_pairs {
         s.edit(start, len, "qqq");
@@ -451,12 +454,14 @@ fn steady_state_zero_alloc_check(cfg: &wg_core::SessionConfig, quick: bool) -> b
         }
     }
     let copied = s.arena().publish_copied_chunks() - copied0;
+    let tape_copied = s.tape().copied_chunks() - tape_copied0;
     let patched = s.arena().publish_patched_slots() - patched0;
     println!(
         "\nzero-alloc check: {warm_pairs} warm-up pairs ({gcs_warm} collections), \
          {check_pairs} measured pairs: {fresh} fresh node slots, \
          {keys} merge-key allocs, {recycled} recycled slots, \
-         {patched} slots patched and {copied} chunks copied by publish"
+         {patched} slots patched and {copied} chunks copied by publish, \
+         {tape_copied} token-tape chunks or spines copied"
     );
     if gcs_warm == 0 {
         eprintln!("zero-alloc check: warm-up never collected — cadence bug");
@@ -465,14 +470,19 @@ fn steady_state_zero_alloc_check(cfg: &wg_core::SessionConfig, quick: bool) -> b
     if copied > 0 {
         eprintln!("zero-alloc check: a publish with no reader copied {copied} chunks");
     }
-    fresh == 0 && keys == 0 && copied == 0
+    if tape_copied > 0 {
+        eprintln!(
+            "zero-alloc check: edits with no reader copied {tape_copied} tape chunks or spines"
+        );
+    }
+    fresh == 0 && keys == 0 && copied == 0 && tape_copied == 0
 }
 
 /// Hand-rolled JSON (the container has no serde): the scaling table plus the
 /// deterministic/IGLR comparison, in nanoseconds.
 #[allow(clippy::too_many_arguments)]
 fn write_json(
-    path: &str,
+    file: &str,
     quick: bool,
     lines: usize,
     edit_pairs: usize,
@@ -523,8 +533,5 @@ fn write_json(
     j.push_str("  \"scaling_full_c\": [\n");
     scaling_rows(&mut j, scaling_full_c);
     j.push_str("  ]\n}\n");
-    match std::fs::write(path, &j) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    wg_bench::write_result(file, &j);
 }

@@ -29,7 +29,7 @@
 //!
 //! Run: `cargo run --release -p wg-bench --bin sec5_throughput -- [--quick]`
 //!
-//! Writes `BENCH_throughput.json` for CI archival.
+//! Writes `target/bench/BENCH_throughput.json` for CI archival.
 
 use std::time::{Duration, Instant};
 use wg_bench::gate::{Baseline, GateArgs, NOISE_FLOOR_NS};
@@ -358,12 +358,12 @@ fn main() {
         );
         println!(
             "SKIPPED: multi-core rebaseline — this run has {cores} core(s) (< 4), so the \
-             regenerated BENCH_throughput.json is still a low-core capture"
+             result in target/bench is still a low-core capture"
         );
     } else {
         println!(
-            "multi-core rebaseline: {cores} cores — the regenerated BENCH_throughput.json is a \
-             multi-core capture; commit it to retire any low-core baseline"
+            "multi-core rebaseline: {cores} cores — target/bench/BENCH_throughput.json is a \
+             multi-core capture; copy it over BENCH_throughput.json to retire any low-core baseline"
         );
     }
 
@@ -751,7 +751,7 @@ fn run_read_cell(
 /// without knowing how much hardware parallelism was available.
 #[allow(clippy::too_many_arguments)]
 fn write_json(
-    path: &str,
+    file: &str,
     quick: bool,
     lines: usize,
     pairs: usize,
@@ -813,10 +813,7 @@ fn write_json(
     j.push_str("  \"read_double_rate\": [\n");
     j.push_str(&read_cell_json(double_cell));
     j.push_str("\n  ]\n}\n");
-    match std::fs::write(path, &j) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    wg_bench::write_result(file, &j);
 }
 
 /// One read-mostly JSON row (shared by the 5% sweep and the gate's 10%

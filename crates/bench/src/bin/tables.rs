@@ -8,8 +8,8 @@
 //! Also reports the **packed table representation**: for every workspace
 //! grammar, the packed (tagged-u32 cells + shared conflict arena +
 //! equivalence-classed columns + default reductions) size against the
-//! naive cell-of-Vecs build, written to `BENCH_tables.json` for CI to
-//! archive.
+//! naive cell-of-Vecs build, written to `target/bench/BENCH_tables.json`
+//! for CI to archive.
 //!
 //! And the **incremental table update**: for `simp_c` and the full-scale
 //! C grammar, the median cost of deriving the new LALR automaton from a
@@ -181,7 +181,7 @@ fn incr_update_report(name: &str, g: &Grammar) -> IncrRow {
 /// Hand-rolled JSON (the container has no serde): the core count the
 /// timings were taken on, one row per grammar, plus the incremental-update
 /// medians.
-fn write_tables_json(path: &str, rows: &[PackedRow], incr: &[IncrRow]) {
+fn write_tables_json(file: &str, rows: &[PackedRow], incr: &[IncrRow]) {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut j = String::new();
     j.push_str(&format!(
@@ -217,10 +217,7 @@ fn write_tables_json(path: &str, rows: &[PackedRow], incr: &[IncrRow]) {
         ));
     }
     j.push_str("  ]\n}\n");
-    match std::fs::write(path, &j) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\nfailed to write {path}: {e}"),
-    }
+    wg_bench::write_result(file, &j);
 }
 
 /// Gates the fresh incremental-update medians against the committed

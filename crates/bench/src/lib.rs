@@ -8,12 +8,27 @@
 pub mod gate;
 pub mod json;
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 use wg_core::SessionConfig;
 use wg_dag::{DagArena, FxHashMap, NodeId, NodeKind};
 use wg_document::Edit;
 use wg_lexer::TokenAt;
 use wg_sentential::{IncLrParser, IncParseError, IncRunStats};
+
+/// Writes one bench's fresh JSON result to `target/bench/<file>`, relative
+/// to the directory the bench runs from (the repository root), reporting
+/// the path written or the error. A committed `BENCH_*.json` baseline
+/// changes only when someone copies a result from there over it, so
+/// checking a baseline never rewrites it.
+pub fn write_result(file: &str, json: &str) {
+    let dir = Path::new("target/bench");
+    let path = dir.join(file);
+    match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("\nfailed to write {}: {e}", path.display()),
+    }
+}
 
 /// Times one closure invocation.
 pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {

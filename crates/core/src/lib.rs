@@ -73,7 +73,7 @@ pub use registry::{GrammarUpdate, LangSlot, LanguageRegistry, UpdateError};
 pub use semantics::{SemInfo, SemNameKind, SemReadView, SemUpdate, SemanticPass};
 pub use session::{ReparseOutcome, Session, SessionConfig, SessionError};
 pub use snapshot::Snapshot;
-pub use tape::{TapeSnapshot, TokenTape};
+pub use tape::TokenTape;
 // Re-exported so registry-facing callers (the workspace service) can name
 // the incremental-update statistics without a wg-lrtable dependency.
 pub use wg_lrtable::IncrStats;

@@ -15,7 +15,7 @@ use wg_dag::{DagArena, DagStats, FxHashMap, NodeId, NodeKind};
 use wg_document::{Edit, TextBuffer, UnincorporatedEdits};
 use wg_glr::ParseScratch;
 use wg_grammar::{Grammar, Terminal};
-use wg_lexer::{Lexer, LexerDef, RegexError, RelexResult, TokenAt};
+use wg_lexer::{Lexer, LexerDef, RegexError, RelexResult, TokenAt, TokenSource};
 use wg_lrtable::{LrTable, TableKind};
 
 /// Errors configuring or running a session.
@@ -215,7 +215,7 @@ pub struct ReparseOutcome {
 ///
 /// The session owns shared (Arc'd) language artifacts plus all the mutable
 /// per-document state: the rope-backed text buffer, the dag arena, the
-/// gap-buffered [`TokenTape`], and the pooled scratch structures (GSS +
+/// chunked [`TokenTape`], and the pooled scratch structures (GSS +
 /// worklists, relex buffers, the seam-lexeme buffer) that make the
 /// steady-state reparse path allocation-free. The document is never
 /// materialized during a reparse: relexing reads the rope through the
@@ -325,7 +325,7 @@ impl Session {
         let (grammar, table, epoch) = slot.current();
         let candidate = SessionConfig::from_parts(grammar, table, Arc::clone(&self.config.lexer))
             .with_slot(slot, epoch);
-        let token_nodes: Vec<NodeId> = (0..self.tape.len()).map(|i| self.tape.node(i)).collect();
+        let token_nodes: Vec<NodeId> = self.tape.nodes().collect();
         // Mirror the failed-incorporation discipline of `reparse_in`: a new
         // epoch so prior-epoch parent overwrites are logged and undone if
         // the new grammar rejects the text.
@@ -381,8 +381,9 @@ impl Session {
     /// re-images only the node slots mutated since the last publish, in
     /// place when no reader still holds the previous snapshot and by
     /// copying the affected chunks when one does (see
-    /// [`DagArena::publish`]); the token tape re-copies every entry its
-    /// gap moved past since the last publish.
+    /// [`DagArena::publish`]); the token tape part is a clone of the tape,
+    /// one reference-count bump on its spine (the tape copies a chunk at
+    /// the next edit instead, and only while a snapshot still holds it).
     ///
     /// The snapshot reflects the *committed* tree: text from edits not yet
     /// incorporated by [`Session::reparse`] is invisible to it.
@@ -391,7 +392,7 @@ impl Session {
             return Arc::clone(s);
         }
         let dag = self.arena.publish();
-        let tape = self.tape.publish();
+        let tape = self.tape.clone();
         let sem = self.sem.as_deref().map(|p| p.read_view());
         let snap = Arc::new(Snapshot::new(dag, self.root, tape, sem));
         self.last_snapshot = Some(Arc::clone(&snap));
@@ -635,7 +636,6 @@ impl Session {
         sem_damage: &mut Vec<NodeId>,
     ) -> Result<IglrRunStats, Option<IglrError>> {
         let t_relex = Instant::now();
-        tape.prepare_for_edit(damage.start);
         config.lexer.relex_into(buffer, tape, damage, relex);
         report.relex += t_relex.elapsed();
         if !relex.errors.is_empty() {
@@ -758,6 +758,12 @@ impl Session {
     /// Number of (non-skip) tokens.
     pub fn token_count(&self) -> usize {
         self.tape.len()
+    }
+
+    /// The token tape of the committed text (see
+    /// [`TokenTape::copied_chunks`] for its copy-on-write accounting).
+    pub fn tape(&self) -> &TokenTape {
+        &self.tape
     }
 
     /// The dag arena (for analyses over the tree).
@@ -1087,6 +1093,9 @@ mod tests {
             assert!(s.reparse().unwrap().incorporated);
         }
         assert!(s.metrics().gcs > 0, "warm-up must span a collection");
+        drop(s.publish());
+        let tape_copied = s.tape().copied_chunks();
+        let dag_copied = s.arena().publish_copied_chunks();
         for i in 0..20 {
             let pos = s.text().find("v20").unwrap();
             s.edit(pos + 1, 2, "99");
@@ -1104,13 +1113,32 @@ mod tests {
                 out.report.recycled_node_slots > 0,
                 "round {i} built its nodes from recycled slots"
             );
+            drop(s.publish());
             let pos = s.text().find("v99").unwrap();
             s.edit(pos + 1, 2, "20");
             let out = s.reparse().unwrap();
             assert!(out.incorporated);
             assert_eq!(out.report.fresh_node_slots, 0, "round {i} (undo half)");
             assert_eq!(out.report.merge_key_allocs, 0, "round {i} (undo half)");
+            drop(s.publish());
         }
+        assert_eq!(
+            s.tape().copied_chunks(),
+            tape_copied,
+            "a warm splice with no reader copied a tape chunk or spine"
+        );
+        assert_eq!(
+            s.arena().publish_copied_chunks(),
+            dag_copied,
+            "a warm publish with no reader copied a dag chunk"
+        );
+        // A held snapshot makes the next splice copy: the counter is live.
+        let held = s.publish();
+        let pos = s.text().find("v20").unwrap();
+        s.edit(pos + 1, 2, "99");
+        assert!(s.reparse().unwrap().incorporated);
+        assert!(s.tape().copied_chunks() > tape_copied);
+        drop(held);
     }
 
     #[test]

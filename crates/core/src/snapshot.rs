@@ -7,13 +7,15 @@
 //! answer position → name queries entirely from the snapshot, never
 //! touching (or waiting on) the writer. Publishing is copy-on-write at
 //! every layer (dag chunks, tape chunks, the semantic view): the dag
-//! re-images only the slots mutated since the last publish, the tape the
-//! entries its gap moved past.
+//! re-images only the slots mutated since the last publish, and the tape
+//! is shared whole — a snapshot holds a clone of the session's
+//! [`TokenTape`] and reads through the same code as the writer.
 
 use crate::semantics::{SemInfo, SemReadView};
-use crate::tape::TapeSnapshot;
+use crate::tape::TokenTape;
 use std::sync::Arc;
 use wg_dag::{DagRead, DagSnapshot, NodeId};
+use wg_lexer::TokenSource;
 
 /// An immutable, version-stamped view of one document: dag + token tape +
 /// semantic facts, safe to query from any number of threads while the
@@ -26,7 +28,7 @@ use wg_dag::{DagRead, DagSnapshot, NodeId};
 pub struct Snapshot {
     dag: DagSnapshot,
     root: NodeId,
-    tape: TapeSnapshot,
+    tape: TokenTape,
     sem: Option<Arc<dyn SemReadView>>,
 }
 
@@ -34,7 +36,7 @@ impl Snapshot {
     pub(crate) fn new(
         dag: DagSnapshot,
         root: NodeId,
-        tape: TapeSnapshot,
+        tape: TokenTape,
         sem: Option<Arc<dyn SemReadView>>,
     ) -> Snapshot {
         Snapshot {

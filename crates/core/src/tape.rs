@@ -1,55 +1,90 @@
-//! A gap-buffered token tape: the session's positional store of (token,
-//! terminal-node) pairs.
+//! A chunked token tape: the session's positional store of (token,
+//! terminal-node) pairs, and the tape half of every published snapshot.
 //!
 //! A flat `Vec<TokenAt>` makes every edit O(document): reusing the suffix
 //! after a relex means rewriting the offset of every trailing token. The
-//! tape instead keeps the stream split around a movable *gap*:
+//! tape instead keeps the stream in chunks of at most 2×[`TAPE_CHUNK`]
+//! entries behind an `Arc`-shared *spine*. Each spine entry records its
+//! chunk's first token index and a start *bias*; a chunk stores its starts
+//! relative to that bias, so shifting everything after an edit is one
+//! index and one bias update per later chunk and no entry moves. A splice
+//! rewrites only the chunks covering the replaced tokens, through
+//! `Arc::make_mut`: in place when no snapshot holds the chunk, after one
+//! copy when a snapshot does. Publishing is therefore a clone of the spine
+//! `Arc`, and a snapshot reads through the same code as the writer.
 //!
-//! - `front` holds the tokens before the gap in absolute (current)
-//!   coordinates, together with a parallel running maximum of their
-//!   [`TokenAt::scan_end`] so the reusable prefix of an edit is one binary
-//!   search;
-//! - `back` holds the tokens after the gap **reversed** and with their
-//!   starts stored relative to `bias`, so shifting the whole suffix by an
-//!   edit's delta is a single integer addition.
-//!
-//! Successive edits in an interactive session cluster spatially, so moving
-//! the gap is amortized cheap, and a one-token edit in an N-token document
-//! costs O(log N + tokens moved) instead of O(N).
+//! An edit costs O(log N + [`TAPE_CHUNK`] + N / [`TAPE_CHUNK`]) whatever
+//! the position of the previous edit.
 
 use std::sync::Arc;
 use wg_dag::NodeId;
 use wg_lexer::{TokenAt, TokenSource};
 
-/// Entries per snapshot chunk of the tape (see [`TapeSnapshot`]).
+/// Target entries per chunk: a chunk holds at most twice as many and,
+/// unless it is the tape's only chunk, at least half as many.
 const TAPE_CHUNK: usize = 256;
 
-/// Gap-buffered store of the session's token stream and the terminal dag
-/// node carrying each token.
+/// One spine entry: a shared chunk of the tape and where it sits.
+#[derive(Debug, Clone, Default)]
+struct Chunk {
+    /// Tape index of the chunk's first entry.
+    first: usize,
+    /// Start of the chunk's first token. Entries store their starts
+    /// relative to it (real start = stored start + bias), so the first
+    /// stored start is 0 and the spine is searchable by byte offset
+    /// without reading any chunk.
+    bias: usize,
+    /// Largest stored [`TokenAt::scan_end`] of the chunk: the furthest byte
+    /// its tokens examined is `bias.saturating_add(reach)`.
+    reach: usize,
+    entries: Arc<Vec<(TokenAt, NodeId)>>,
+}
+
+impl Chunk {
+    /// The entries of a chunk being rewritten, which the writer alone holds.
+    fn owned(&mut self) -> &mut Vec<(TokenAt, NodeId)> {
+        Arc::get_mut(&mut self.entries).expect("a rewritten chunk is unshared")
+    }
+
+    /// Restores the chunk's invariants after its entries were rewritten
+    /// with starts relative to the current bias (wrapping allowed): the
+    /// first stored start becomes 0 and `reach` is recomputed.
+    fn seal(&mut self) {
+        let v = Arc::get_mut(&mut self.entries).expect("a rewritten chunk is unshared");
+        if let Some(&(t0, _)) = v.first() {
+            for (t, _) in v.iter_mut() {
+                t.start = t.start.wrapping_sub(t0.start);
+            }
+            self.bias = self.bias.wrapping_add(t0.start);
+        }
+        self.reach = v.iter().map(|(t, _)| t.scan_end()).max().unwrap_or(0);
+    }
+}
+
+/// Chunked store of the session's token stream and the terminal dag node
+/// carrying each token. Cloning is O(1) and yields an immutable view for
+/// readers: a clone is what a [`crate::Snapshot`] holds.
 #[derive(Debug, Clone, Default)]
 pub struct TokenTape {
-    /// Tokens before the gap, absolute coordinates.
-    front: Vec<(TokenAt, NodeId)>,
-    /// `scan_max[i]` = max `scan_end` over `front[..=i]` (monotone, so the
-    /// longest prefix untouched by an edit is a `partition_point`).
-    scan_max: Vec<usize>,
-    /// Tokens after the gap, reversed (`back[0]` is the document's last
-    /// token); starts are stored unbiased: real start = stored
-    /// `start.wrapping_add_signed(bias)`.
-    back: Vec<(TokenAt, NodeId)>,
-    bias: isize,
-    /// Published chunks of `front` (each [`TAPE_CHUNK`] entries, last one
-    /// possibly partial), reused across publishes while untouched.
-    snap_front: Vec<Arc<Vec<(TokenAt, NodeId)>>>,
-    /// Published chunks of `back` in storage order, starts unbiased.
-    snap_back: Vec<Arc<Vec<(TokenAt, NodeId)>>>,
-    /// Low watermark of `front.len()` since the last publish: entries below
-    /// it are unchanged (the arrays mutate stack-like around the gap), so
-    /// published chunks fully below it are shared, not copied. `set_node`
-    /// lowers it to the patched index.
-    front_low: usize,
-    /// Same for `back` (storage order).
-    back_low: usize,
+    spine: Arc<Vec<Chunk>>,
+    len: usize,
+    /// Chunks and spines copied because a clone still shared them.
+    copied: u64,
+}
+
+/// `entry` with its stored start moved by `by` (wrapping: a chunk being
+/// rewritten may hold starts below its bias until it is sealed).
+fn shifted(&(t, n): &(TokenAt, NodeId), by: usize) -> (TokenAt, NodeId) {
+    let start = t.start.wrapping_add(by);
+    (TokenAt { start, ..t }, n)
+}
+
+/// `Arc::make_mut`, counting the copy it makes when `arc` is shared.
+fn unshare<'a, T: Clone>(arc: &'a mut Arc<T>, copied: &mut u64) -> &'a mut T {
+    if Arc::get_mut(arc).is_none() {
+        *copied += 1;
+    }
+    Arc::make_mut(arc)
 }
 
 impl TokenTape {
@@ -60,120 +95,71 @@ impl TokenTape {
 
     /// Replaces the contents with `pairs` (absolute coordinates).
     pub fn rebuild(&mut self, pairs: impl IntoIterator<Item = (TokenAt, NodeId)>) {
-        self.front.clear();
-        self.scan_max.clear();
-        self.back.clear();
-        self.bias = 0;
-        self.front_low = 0;
-        self.back_low = 0;
-        for (tok, node) in pairs {
-            self.push_front(tok, node);
-        }
+        let pairs: Vec<_> = pairs.into_iter().collect();
+        self.spine = Arc::default();
+        self.len = 0;
+        self.splice(0, &pairs, 0, 0);
     }
 
-    /// Number of tokens.
-    pub fn len(&self) -> usize {
-        self.front.len() + self.back.len()
+    /// Chunks and spines a mutation had to copy because a clone of the
+    /// tape (a published snapshot) still shared them. Constant in a
+    /// session whose readers drop each snapshot before the next edit.
+    pub fn copied_chunks(&self) -> u64 {
+        self.copied
     }
 
-    /// Whether the tape holds no tokens.
-    pub fn is_empty(&self) -> bool {
-        self.front.is_empty() && self.back.is_empty()
-    }
-
-    fn push_front(&mut self, tok: TokenAt, node: NodeId) {
-        let prev = self.scan_max.last().copied().unwrap_or(0);
-        self.scan_max.push(prev.max(tok.scan_end()));
-        self.front.push((tok, node));
-    }
-
-    fn rebias(&self, stored: TokenAt) -> TokenAt {
-        TokenAt {
-            start: stored.start.wrapping_add_signed(self.bias),
-            ..stored
-        }
-    }
-
-    /// Storage index in `back` of global token index `ix`.
-    fn back_ix(&self, ix: usize) -> usize {
-        self.back.len() - 1 - (ix - self.front.len())
-    }
-
-    /// The `ix`-th token, in absolute coordinates.
-    pub fn token(&self, ix: usize) -> TokenAt {
-        if ix < self.front.len() {
-            self.front[ix].0
-        } else {
-            self.rebias(self.back[self.back_ix(ix)].0)
-        }
+    /// Spine position of the chunk holding tape index `ix` (the last chunk
+    /// when `ix` is past the end).
+    fn chunk_ix(&self, ix: usize) -> usize {
+        self.spine
+            .partition_point(|c| c.first <= ix)
+            .saturating_sub(1)
     }
 
     /// The dag node of the `ix`-th token.
     pub fn node(&self, ix: usize) -> NodeId {
-        if ix < self.front.len() {
-            self.front[ix].1
-        } else {
-            self.back[self.back_ix(ix)].1
-        }
+        let c = &self.spine[self.chunk_ix(ix)];
+        c.entries[ix - c.first].1
+    }
+
+    /// Every token's dag node, in tape order.
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.spine
+            .iter()
+            .flat_map(|c| c.entries.iter().map(|&(_, n)| n))
     }
 
     /// Replaces the dag node of the `ix`-th token.
     pub fn set_node(&mut self, ix: usize, node: NodeId) {
-        if ix < self.front.len() {
-            self.front[ix].1 = node;
-            self.front_low = self.front_low.min(ix);
-        } else {
-            let b = self.back_ix(ix);
-            self.back[b].1 = node;
-            self.back_low = self.back_low.min(b);
-        }
+        let k = self.chunk_ix(ix);
+        let c = &mut unshare(&mut self.spine, &mut self.copied)[k];
+        unshare(&mut c.entries, &mut self.copied)[ix - c.first].1 = node;
     }
 
-    /// Moves the gap so exactly `ix` tokens precede it.
-    fn move_gap_to(&mut self, ix: usize) {
-        assert!(ix <= self.len(), "gap beyond tape");
-        while self.front.len() > ix {
-            let (tok, node) = self.front.pop().expect("front nonempty");
-            self.scan_max.pop();
-            let stored = TokenAt {
-                start: tok.start.wrapping_add_signed(self.bias.wrapping_neg()),
-                ..tok
-            };
-            self.back.push((stored, node));
-        }
-        self.front_low = self.front_low.min(self.front.len());
-        while self.front.len() < ix {
-            let (stored, node) = self.back.pop().expect("back nonempty");
-            let tok = self.rebias(stored);
-            self.push_front(tok, node);
-        }
-        self.back_low = self.back_low.min(self.back.len());
+    /// The last token starting at or before byte `offset`: its index, its
+    /// stored token and `offset`, both relative to its chunk's bias.
+    fn last_starting_by(&self, offset: usize) -> Option<(usize, TokenAt, usize)> {
+        let k = self.spine.partition_point(|c| c.bias <= offset);
+        let c = &self.spine[k.checked_sub(1)?];
+        let rel = offset - c.bias;
+        let j = c.entries.partition_point(|(t, _)| t.start <= rel) - 1;
+        Some((c.first + j, c.entries[j].0, rel))
     }
 
-    /// Positions the gap at the first token starting at or after
-    /// `edit_start`, the precondition for using the tape as a
-    /// [`TokenSource`] for a relex of an edit at that offset.
-    pub fn prepare_for_edit(&mut self, edit_start: usize) {
-        let target = if self
-            .front
-            .last()
-            .is_some_and(|&(t, _)| t.start >= edit_start)
-        {
-            self.front.partition_point(|&(t, _)| t.start < edit_start)
-        } else {
-            // Back starts are descending in storage order.
-            let past = self
-                .back
-                .partition_point(|&(t, _)| self.rebias(t).start >= edit_start);
-            self.front.len() + (self.back.len() - past)
-        };
-        self.move_gap_to(target);
+    /// Index of the token covering byte `offset`, if any.
+    pub fn token_index_at(&self, offset: usize) -> Option<usize> {
+        let (ix, t, rel) = self.last_starting_by(offset)?;
+        (rel < t.end()).then_some(ix)
     }
 
     /// Applies a relex outcome: tokens `[kept_prefix, len - kept_suffix)`
     /// are replaced by `new` (absolute coordinates in the *new* text), and
-    /// the reused suffix shifts by `delta`. The gap must already sit inside
-    /// the replaced region (see [`TokenTape::prepare_for_edit`]).
+    /// the reused suffix shifts by `delta`.
+    ///
+    /// Rewrites the chunk holding the first replaced token and absorbs into
+    /// it what survives of the chunk holding the last one; chunks fully
+    /// inside the replaced range are dropped, and every later spine entry
+    /// gets the token-count and byte deltas.
     pub fn splice(
         &mut self,
         kept_prefix: usize,
@@ -181,222 +167,140 @@ impl TokenTape {
         kept_suffix: usize,
         delta: isize,
     ) {
-        debug_assert!(self.front.len() >= kept_prefix);
-        debug_assert!(self.back.len() >= kept_suffix);
-        self.front.truncate(kept_prefix);
-        self.scan_max.truncate(kept_prefix);
-        self.back.truncate(kept_suffix);
-        self.front_low = self.front_low.min(kept_prefix);
-        self.back_low = self.back_low.min(kept_suffix);
-        self.bias += delta;
-        for &(tok, node) in new {
-            self.push_front(tok, node);
+        let lo = kept_prefix;
+        let hi = self
+            .len
+            .checked_sub(kept_suffix)
+            .expect("suffix beyond tape");
+        assert!(lo <= hi, "splice prefix and suffix overlap");
+        let k = self.chunk_ix(lo);
+        let last = if hi > lo { self.chunk_ix(hi - 1) } else { k };
+        let spine = unshare(&mut self.spine, &mut self.copied);
+        if spine.is_empty() {
+            spine.push(Chunk::default());
         }
+        // The surviving tail comes from the last covered chunk: shift it
+        // from that chunk's bias to the new text, relative to chunk `k`.
+        let tail = (last > k).then(|| spine.drain(k + 1..=last).next_back().expect("nonempty"));
+        let c = &mut spine[k];
+        let (p, base) = (lo - c.first, c.bias);
+        let src = tail.as_ref().unwrap_or(&*c);
+        let (q, shift) = (
+            hi - src.first,
+            src.bias.wrapping_add_signed(delta).wrapping_sub(base),
+        );
+        let v = unshare(&mut c.entries, &mut self.copied);
+        let rel = new.iter().map(|e| shifted(e, base.wrapping_neg()));
+        match &tail {
+            None => {
+                v.splice(p..q, rel);
+            }
+            Some(t) => {
+                v.truncate(p);
+                v.extend(rel);
+                v.extend_from_slice(&t.entries[q..]);
+            }
+        }
+        for (t, _) in &mut v[p + new.len()..] {
+            t.start = t.start.wrapping_add(shift);
+        }
+        c.seal();
+        let grown = new.len().wrapping_sub(hi - lo);
+        for c in &mut spine[k + 1..] {
+            c.first = c.first.wrapping_add(grown);
+            c.bias = c.bias.wrapping_add_signed(delta);
+        }
+        self.len = self.len.wrapping_add(grown);
+        Self::fit(spine, k);
     }
 
-    /// Publishes an immutable snapshot of the tape.
-    ///
-    /// Copy-on-write at chunk granularity: both gap-buffer arrays mutate
-    /// stack-like around the gap, so chunks entirely below each array's
-    /// low watermark are shared with the previous publish (an `Arc` clone)
-    /// and only the churned tail is re-copied. Publish cost therefore
-    /// tracks gap motion since the last publish, not tape length.
-    pub fn publish(&mut self) -> TapeSnapshot {
-        Self::refresh_chunks(&mut self.snap_front, &self.front, self.front_low);
-        Self::refresh_chunks(&mut self.snap_back, &self.back, self.back_low);
-        self.front_low = self.front.len();
-        self.back_low = self.back.len();
-        TapeSnapshot {
-            front: self.snap_front.clone(),
-            front_len: self.front.len(),
-            back: self.snap_back.clone(),
-            back_len: self.back.len(),
-            bias: self.bias,
+    /// Brings the rewritten chunk at spine position `k` back within bounds:
+    /// drops it when empty, merges it into a neighbour when it holds fewer
+    /// than `TAPE_CHUNK / 2` entries, and splits it into pieces of
+    /// `TAPE_CHUNK..2 * TAPE_CHUNK` entries when it holds more than
+    /// `2 * TAPE_CHUNK`. Only chunk `k` is written; the neighbour's entries
+    /// are read into it.
+    fn fit(spine: &mut Vec<Chunk>, mut k: usize) {
+        if spine[k].entries.is_empty() {
+            spine.remove(k);
+            return;
         }
-    }
-
-    /// Rebuilds the cached chunk list over `data`, keeping chunks that are
-    /// full and entirely below the low watermark (those entries have not
-    /// moved since they were copied).
-    fn refresh_chunks(
-        cache: &mut Vec<Arc<Vec<(TokenAt, NodeId)>>>,
-        data: &[(TokenAt, NodeId)],
-        low: usize,
-    ) {
-        let keep = (low / TAPE_CHUNK).min(cache.len());
-        cache.truncate(keep);
-        let mut start = keep * TAPE_CHUNK;
-        while start < data.len() {
-            let end = (start + TAPE_CHUNK).min(data.len());
-            cache.push(Arc::new(data[start..end].to_vec()));
-            start = end;
+        if spine[k].entries.len() < TAPE_CHUNK / 2 && spine.len() > 1 {
+            let right = k + 1 < spine.len();
+            let other = spine.remove(if right { k + 1 } else { k - 1 });
+            k -= usize::from(!right);
+            let c = &mut spine[k];
+            let shift = other.bias.wrapping_sub(c.bias);
+            let at = if right { c.entries.len() } else { 0 };
+            let moved = other.entries.iter().map(|e| shifted(e, shift));
+            c.owned().splice(at..at, moved);
+            c.first = c.first.min(other.first);
+            c.seal();
         }
-    }
-
-    /// Index of the token covering byte `offset`, if any.
-    pub fn token_index_at(&self, offset: usize) -> Option<usize> {
-        // Count tokens with start <= offset; the last of them may cover it.
-        let at_or_before = if self.front.last().is_some_and(|&(t, _)| t.start > offset) {
-            self.front.partition_point(|&(t, _)| t.start <= offset)
-        } else {
-            let past = self
-                .back
-                .partition_point(|&(t, _)| self.rebias(t).start > offset);
-            self.front.len() + (self.back.len() - past)
-        };
-        if at_or_before == 0 {
-            return None;
+        let n = spine[k].entries.len();
+        if n > 2 * TAPE_CHUNK {
+            let pieces = n / TAPE_CHUNK;
+            for i in (1..pieces).rev() {
+                let c = &mut spine[k];
+                let at = n * i / pieces;
+                let entries = c.owned().split_off(at);
+                let mut piece = Chunk {
+                    first: c.first + at,
+                    bias: c.bias,
+                    reach: 0,
+                    entries: Arc::new(entries),
+                };
+                piece.seal();
+                spine.insert(k + 1, piece);
+            }
+            let c = &mut spine[k];
+            c.owned().shrink_to(2 * TAPE_CHUNK);
+            c.seal();
         }
-        let t = self.token(at_or_before - 1);
-        (offset < t.end()).then_some(at_or_before - 1)
     }
 }
 
 impl TokenSource for TokenTape {
     fn len(&self) -> usize {
-        TokenTape::len(self)
-    }
-
-    fn token(&self, ix: usize) -> TokenAt {
-        TokenTape::token(self, ix)
-    }
-
-    fn kept_prefix(&self, edit_start: usize) -> usize {
-        // Precondition (prepare_for_edit): every front token starts before
-        // `edit_start`. Since scan_end > start, every token with
-        // scan_end <= edit_start is in the front, where the running maximum
-        // makes the take-while a binary search.
-        debug_assert!(self.front.last().is_none_or(|&(t, _)| t.start < edit_start));
-        debug_assert!(self
-            .back
-            .last()
-            .is_none_or(|&(t, _)| self.rebias(t).start >= edit_start));
-        self.scan_max.partition_point(|&m| m <= edit_start)
-    }
-
-    fn find_start(&self, start: usize) -> Option<usize> {
-        if let Ok(ix) = self.front.binary_search_by_key(&start, |&(t, _)| t.start) {
-            return Some(ix);
-        }
-        // Storage order of `back` is descending by start.
-        let k = self
-            .back
-            .partition_point(|&(t, _)| self.rebias(t).start > start);
-        if k < self.back.len() && self.rebias(self.back[k].0).start == start {
-            Some(self.front.len() + (self.back.len() - 1 - k))
-        } else {
-            None
-        }
-    }
-}
-
-/// An immutable, cheaply cloned snapshot of a [`TokenTape`], safe to query
-/// from any thread while the writer keeps splicing the live tape.
-///
-/// Storage mirrors the gap buffer it was published from: chunked copies of
-/// the `front` and (reversed, unbiased) `back` arrays plus the bias, so
-/// consecutive publishes share every chunk the gap did not cross.
-#[derive(Debug, Clone)]
-pub struct TapeSnapshot {
-    front: Vec<Arc<Vec<(TokenAt, NodeId)>>>,
-    front_len: usize,
-    back: Vec<Arc<Vec<(TokenAt, NodeId)>>>,
-    back_len: usize,
-    bias: isize,
-}
-
-impl TapeSnapshot {
-    /// Number of tokens.
-    pub fn len(&self) -> usize {
-        self.front_len + self.back_len
-    }
-
-    /// Whether the snapshot holds no tokens.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entry `i` of the published front array.
-    #[inline]
-    fn front_pair(&self, i: usize) -> &(TokenAt, NodeId) {
-        &self.front[i / TAPE_CHUNK][i % TAPE_CHUNK]
-    }
-
-    /// Entry `i` of the published back array (storage order, unbiased).
-    #[inline]
-    fn back_pair(&self, i: usize) -> &(TokenAt, NodeId) {
-        &self.back[i / TAPE_CHUNK][i % TAPE_CHUNK]
-    }
-
-    fn rebias(&self, stored: TokenAt) -> TokenAt {
-        TokenAt {
-            start: stored.start.wrapping_add_signed(self.bias),
-            ..stored
-        }
+        self.len
     }
 
     /// The `ix`-th token, in absolute coordinates.
-    pub fn token(&self, ix: usize) -> TokenAt {
-        if ix < self.front_len {
-            self.front_pair(ix).0
-        } else {
-            let b = self.back_len - 1 - (ix - self.front_len);
-            self.rebias(self.back_pair(b).0)
+    fn token(&self, ix: usize) -> TokenAt {
+        let c = &self.spine[self.chunk_ix(ix)];
+        let t = c.entries[ix - c.first].0;
+        TokenAt {
+            start: t.start + c.bias,
+            ..t
         }
     }
 
-    /// The dag node of the `ix`-th token.
-    pub fn node(&self, ix: usize) -> NodeId {
-        if ix < self.front_len {
-            self.front_pair(ix).1
-        } else {
-            let b = self.back_len - 1 - (ix - self.front_len);
-            self.back_pair(b).1
-        }
+    /// The take-while of the slice implementation: the first chunk whose
+    /// furthest examined byte passes `edit_start` holds the first token
+    /// that does.
+    fn kept_prefix(&self, edit_start: usize) -> usize {
+        self.spine
+            .iter()
+            .find(|c| c.bias.saturating_add(c.reach) > edit_start)
+            .map_or(self.len, |c| {
+                c.first
+                    + c.entries
+                        .iter()
+                        .take_while(|(t, _)| t.scan_end().saturating_add(c.bias) <= edit_start)
+                        .count()
+            })
     }
 
-    /// Index of the token covering byte `offset`, if any. Same algorithm
-    /// as [`TokenTape::token_index_at`], binary searching the chunked
-    /// storage.
-    pub fn token_index_at(&self, offset: usize) -> Option<usize> {
-        let front_covers =
-            self.front_len > 0 && { self.front_pair(self.front_len - 1).0.start > offset };
-        let at_or_before = if front_covers {
-            partition(self.front_len, |i| self.front_pair(i).0.start <= offset)
-        } else {
-            // Back storage order is descending by start.
-            let past = partition(self.back_len, |i| {
-                self.rebias(self.back_pair(i).0).start > offset
-            });
-            self.front_len + (self.back_len - past)
-        };
-        if at_or_before == 0 {
-            return None;
-        }
-        let t = self.token(at_or_before - 1);
-        (offset < t.end()).then_some(at_or_before - 1)
+    fn find_start(&self, start: usize) -> Option<usize> {
+        let (ix, t, rel) = self.last_starting_by(start)?;
+        (t.start == rel).then_some(ix)
     }
-}
-
-/// `partition_point` over an indexed predicate: the count of leading
-/// indexes in `0..n` for which `pred` holds (callers guarantee the
-/// predicate is monotone over the range).
-fn partition(n: usize, pred: impl Fn(usize) -> bool) -> usize {
-    let (mut lo, mut hi) = (0, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if pred(mid) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use wg_lexer::RuleId;
 
     fn tok(start: usize, len: usize, la: usize) -> TokenAt {
@@ -408,13 +312,16 @@ mod tests {
         }
     }
 
-    fn nid(i: u32) -> NodeId {
+    /// `n` distinct terminal nodes.
+    fn nids(n: usize) -> Vec<NodeId> {
         let mut arena = wg_dag::DagArena::new();
-        let mut last = None;
-        for k in 0..=i {
-            last = Some(arena.terminal(wg_grammar::Terminal::from_index(0), &format!("t{k}")));
-        }
-        last.unwrap()
+        (0..n)
+            .map(|k| arena.terminal(wg_grammar::Terminal::from_index(0), &format!("t{k}")))
+            .collect()
+    }
+
+    fn nid(i: u32) -> NodeId {
+        nids(i as usize + 1)[i as usize]
     }
 
     /// Tokens `i*4 .. i*4+3` with 1 byte of lookahead each.
@@ -427,7 +334,7 @@ mod tests {
     #[test]
     fn rebuild_and_query() {
         let tape = sample(5);
-        assert_eq!(TokenTape::len(&tape), 5);
+        assert_eq!(tape.len(), 5);
         assert!(!tape.is_empty());
         assert_eq!(tape.token(2).start, 8);
         assert_eq!(tape.node(2), nid(2));
@@ -437,12 +344,17 @@ mod tests {
     }
 
     #[test]
-    fn gap_motion_preserves_contents() {
+    fn identity_splices_preserve_contents() {
         let mut tape = sample(6);
         for &pos in &[3, 0, 6, 2, 5, 1] {
-            tape.move_gap_to(pos);
+            // Replace the token at `pos` (or nothing, at the end) by itself.
+            let n = usize::from(pos < 6);
+            let same: Vec<_> = (pos..pos + n)
+                .map(|i| (tape.token(i), tape.node(i)))
+                .collect();
+            tape.splice(pos, &same, 6 - pos - n, 0);
             for i in 0..6 {
-                assert_eq!(tape.token(i).start, i * 4, "gap at {pos}");
+                assert_eq!(tape.token(i).start, i * 4, "splice at {pos}");
                 assert_eq!(tape.node(i), nid(i as u32));
             }
         }
@@ -452,16 +364,14 @@ mod tests {
     fn splice_shifts_suffix_by_delta() {
         let mut tape = sample(5);
         // Replace token 2 (start 8) by two tokens, net +4 bytes.
-        tape.prepare_for_edit(8);
         let new = vec![(tok(8, 3, 1), nid(7)), (tok(12, 3, 1), nid(8))];
         tape.splice(2, &new, 2, 4);
-        assert_eq!(TokenTape::len(&tape), 6);
+        assert_eq!(tape.len(), 6);
         let starts: Vec<usize> = (0..6).map(|i| tape.token(i).start).collect();
         assert_eq!(starts, vec![0, 4, 8, 12, 16, 20]);
         assert_eq!(tape.node(3), nid(8));
         assert_eq!(tape.node(4), nid(3), "suffix nodes survive");
-        // A second splice compounds the bias.
-        tape.prepare_for_edit(0);
+        // A second splice compounds the shift.
         let new = vec![(tok(0, 2, 1), nid(9))];
         tape.splice(0, &new, 5, -1);
         let starts: Vec<usize> = (0..6).map(|i| tape.token(i).start).collect();
@@ -470,15 +380,14 @@ mod tests {
 
     #[test]
     fn token_source_prefix_and_sync() {
-        let mut tape = sample(5);
+        let tape = sample(5);
         // Edit inside token 2's yield (offset 9).
-        tape.prepare_for_edit(9);
         // Tokens 0 and 1 have scan_end 4 and 8 <= 9; token 2 scans to 12.
-        assert_eq!(TokenSource::kept_prefix(&tape, 9), 2);
-        assert_eq!(TokenSource::find_start(&tape, 16), Some(4));
-        assert_eq!(TokenSource::find_start(&tape, 17), None);
-        assert_eq!(TokenSource::find_start(&tape, 4), Some(1));
-        assert_eq!(TokenSource::token(&tape, 4).start, 16);
+        assert_eq!(tape.kept_prefix(9), 2);
+        assert_eq!(tape.find_start(16), Some(4));
+        assert_eq!(tape.find_start(17), None);
+        assert_eq!(tape.find_start(4), Some(1));
+        assert_eq!(tape.token(4).start, 16);
     }
 
     #[test]
@@ -490,26 +399,25 @@ mod tests {
             (tok(4, 3, 6), nid(1)), // scan_end 13
             (tok(8, 3, 1), nid(2)),
         ]);
-        tape.prepare_for_edit(12);
         assert_eq!(
-            TokenSource::kept_prefix(&tape, 12),
+            tape.kept_prefix(12),
             1,
             "token 1's lookahead reaches the edit, so only token 0 is safe"
         );
     }
 
     #[test]
-    fn set_node_cross_gap() {
+    fn set_node_on_both_sides_of_a_splice() {
         let mut tape = sample(4);
-        tape.move_gap_to(2);
+        tape.splice(2, &[], 2, 0);
         tape.set_node(3, nid(9));
         assert_eq!(tape.node(3), nid(9));
         tape.set_node(1, nid(8));
         assert_eq!(tape.node(1), nid(8));
     }
 
-    fn assert_snapshot_matches(tape: &TapeSnapshot, live: &TokenTape) {
-        assert_eq!(tape.len(), TokenTape::len(live));
+    fn assert_same_reads(tape: &TokenTape, live: &TokenTape) {
+        assert_eq!(tape.len(), live.len());
         for i in 0..tape.len() {
             assert_eq!(tape.token(i), live.token(i), "token {i}");
             assert_eq!(tape.node(i), live.node(i), "node {i}");
@@ -527,11 +435,10 @@ mod tests {
     #[test]
     fn snapshot_mirrors_tape_and_survives_mutation() {
         let mut tape = sample(6);
-        tape.move_gap_to(3);
-        let snap = tape.publish();
-        assert_snapshot_matches(&snap, &tape.clone());
+        tape.splice(3, &[], 3, 0);
+        let snap = tape.clone();
+        assert_same_reads(&snap, &tape);
         // Mutate the live tape: the snapshot must keep the old view.
-        tape.prepare_for_edit(8);
         let new = vec![(tok(8, 5, 1), nid(7))];
         tape.splice(2, &new, 3, 2);
         assert_eq!(snap.len(), 6);
@@ -539,42 +446,50 @@ mod tests {
         assert_eq!(snap.token(2).len, 3, "old token, not the spliced one");
         assert_eq!(snap.token(5).start, 20, "unshifted suffix");
         // A fresh publish sees the new state.
-        let snap2 = tape.publish();
-        assert_snapshot_matches(&snap2, &tape.clone());
+        let snap2 = tape.clone();
+        assert_same_reads(&snap2, &tape);
         assert_eq!(snap2.token(2).len, 5);
         assert_eq!(snap2.token(5).start, 22);
     }
 
     #[test]
     fn publish_shares_untouched_chunks() {
-        // Enough tokens for two full front chunks.
+        // Two chunks; the edit lands in the second.
         let n = 2 * TAPE_CHUNK + 50;
         let mut tape = TokenTape::new();
         tape.rebuild((0..n).map(|i| (tok(i * 4, 3, 1), NodeId::NONE)));
-        let s1 = tape.publish();
+        let s1 = tape.clone();
         // Edit near the end: only the tail chunk should churn.
         let edit_at = (n - 3) * 4;
-        tape.prepare_for_edit(edit_at);
         let new = vec![(tok(edit_at, 3, 1), NodeId::NONE)];
+        let copied = tape.copied_chunks();
         tape.splice(n - 3, &new, 2, 0);
-        let s2 = tape.publish();
+        assert_eq!(tape.copied_chunks() - copied, 2, "the spine and one chunk");
+        let s2 = tape.clone();
         assert!(
-            Arc::ptr_eq(&s1.front[0], &s2.front[0]),
+            Arc::ptr_eq(&s1.spine[0].entries, &s2.spine[0].entries),
             "untouched chunk shared"
         );
         assert!(
-            Arc::ptr_eq(&s1.front[1], &s2.front[1]),
-            "second full chunk shared"
+            !Arc::ptr_eq(&s1.spine[1].entries, &s2.spine[1].entries),
+            "edited chunk copied"
         );
-        assert_snapshot_matches(&s2, &tape.clone());
+        assert_same_reads(&s2, &tape);
+        // Without a reader the next splice copies nothing.
+        drop((s1, s2));
+        let copied = tape.copied_chunks();
+        tape.splice(n - 3, &new, 2, 0);
+        assert_eq!(tape.copied_chunks(), copied);
     }
 
     #[test]
     fn snapshot_of_empty_tape() {
-        let mut tape = TokenTape::new();
-        let snap = tape.publish();
+        let tape = TokenTape::new();
+        let snap = tape.clone();
         assert!(snap.is_empty());
         assert_eq!(snap.token_index_at(0), None);
+        assert_eq!(snap.kept_prefix(0), 0);
+        assert_eq!(snap.find_start(0), None);
     }
 
     #[test]
@@ -585,11 +500,182 @@ mod tests {
             (tok(4, 3, usize::MAX), nid(1)),
             (tok(8, 3, 1), nid(2)),
         ]);
-        tape.prepare_for_edit(100);
         assert_eq!(
-            TokenSource::kept_prefix(&tape, 100),
+            tape.kept_prefix(100),
             1,
             "an EOF-clamped token can never be reused past its start"
         );
+    }
+
+    /// Random tokens laid out from byte `from`: gaps of 0–2 bytes, lengths
+    /// 1–4, lookahead mostly 0–2 and sometimes long or EOF-clamped.
+    fn random_tokens(rng: &mut TestRng, n: usize, from: usize) -> Vec<TokenAt> {
+        let mut at = from;
+        (0..n)
+            .map(|_| {
+                let start = at + rng.below(3);
+                let len = 1 + rng.below(4);
+                at = start + len;
+                let la = match rng.below(40) {
+                    0 => usize::MAX,
+                    1 => 30 + rng.below(3000),
+                    _ => rng.below(3),
+                };
+                tok(start, len, la)
+            })
+            .collect()
+    }
+
+    /// Checks every token and node of `tape` against the model and the
+    /// chunk bounds; with `probe`, also the position queries against the
+    /// slice implementation at sampled offsets.
+    fn check(
+        tape: &TokenTape,
+        model: &[(TokenAt, NodeId)],
+        probe: bool,
+    ) -> Result<(), TestCaseError> {
+        let toks: Vec<TokenAt> = model.iter().map(|&(t, _)| t).collect();
+        prop_assert_eq!(tape.len(), model.len());
+        prop_assert_eq!(tape.nodes().collect::<Vec<_>>().len(), model.len());
+        for (i, (&(t, n), m)) in model.iter().zip(tape.nodes()).enumerate() {
+            prop_assert_eq!(tape.token(i), t, "token {}", i);
+            prop_assert_eq!(tape.node(i), n, "node {}", i);
+            prop_assert_eq!(m, n, "nodes() at {}", i);
+        }
+        let mut first = 0;
+        for c in tape.spine.iter() {
+            prop_assert!(!c.entries.is_empty(), "empty chunk");
+            prop_assert!(c.entries.len() <= 2 * TAPE_CHUNK, "oversized chunk");
+            prop_assert!(
+                tape.spine.len() == 1 || c.entries.len() >= TAPE_CHUNK / 2,
+                "undersized chunk"
+            );
+            prop_assert_eq!(c.first, first);
+            first += c.entries.len();
+        }
+        if !probe {
+            return Ok(());
+        }
+        let end = toks.last().map_or(0, |t| t.end());
+        let step = 1 + toks.len() / 32;
+        let probes = (0..end + 3)
+            .step_by(1 + end / 32)
+            .chain(toks.iter().step_by(step).map(|t| t.start));
+        for off in probes {
+            prop_assert_eq!(
+                tape.kept_prefix(off),
+                toks.kept_prefix(off),
+                "kept_prefix({})",
+                off
+            );
+            prop_assert_eq!(
+                tape.find_start(off),
+                toks.find_start(off),
+                "find_start({})",
+                off
+            );
+            let covering = toks.iter().position(|t| t.start <= off && off < t.end());
+            prop_assert_eq!(
+                tape.token_index_at(off),
+                covering,
+                "token_index_at({})",
+                off
+            );
+        }
+        prop_assert_eq!(tape.kept_prefix(usize::MAX), toks.kept_prefix(usize::MAX));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn tape_matches_vec_model(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let ids = nids(64);
+            let pairs = |rng: &mut TestRng, toks: Vec<TokenAt>| -> Vec<(TokenAt, NodeId)> {
+                toks.into_iter().map(|t| (t, ids[rng.below(ids.len())])).collect()
+            };
+            let mut tape = TokenTape::new();
+            let mut model: Vec<(TokenAt, NodeId)> = Vec::new();
+            let mut held: Vec<(TokenTape, Vec<(TokenAt, NodeId)>)> = Vec::new();
+            for _ in 0..30 {
+                let before = tape.clone();
+                let len = model.len();
+                // The tape range this step rewrote, if any.
+                let mut touched = None;
+                match rng.below(10) {
+                    0 => {
+                        let n = [0, 1, TAPE_CHUNK, 3 * TAPE_CHUNK + 7][rng.below(4)];
+                        let toks = random_tokens(&mut rng, n, 0);
+                        model = pairs(&mut rng, toks);
+                        tape.rebuild(model.clone());
+                    }
+                    1 if len > 0 => {
+                        let ix = rng.below(len);
+                        let n = ids[rng.below(ids.len())];
+                        model[ix].1 = n;
+                        tape.set_node(ix, n);
+                        touched = Some((ix, ix + 1));
+                    }
+                    2 => {
+                        held.push((tape.clone(), model.clone()));
+                        if held.len() > 4 {
+                            held.remove(rng.below(held.len()));
+                        }
+                    }
+                    _ => {
+                        // Ends, chunk boundaries, or anywhere; removing
+                        // nothing, a few tokens, or whole chunks.
+                        let lo = match rng.below(4) {
+                            0 => 0,
+                            1 => len,
+                            2 => (rng.below(len / TAPE_CHUNK + 1) * TAPE_CHUNK).min(len),
+                            _ => rng.below(len + 1),
+                        };
+                        let del = [0, 1, 1 + rng.below(4), rng.below(3 * TAPE_CHUNK)];
+                        let hi = (lo + del[rng.below(4)]).min(len);
+                        let count = [0, 1, 2, rng.below(40), rng.below(3 * TAPE_CHUNK)];
+                        let left = if lo > 0 { model[lo - 1].0.end() } else { 0 };
+                        let count = count[rng.below(5)];
+                        let toks = random_tokens(&mut rng, count, left);
+                        let new = pairs(&mut rng, toks);
+                        let new_end = new.last().map_or(left, |(t, _)| t.end()) + rng.below(3);
+                        let delta = match model.get(hi) {
+                            Some((t, _)) => new_end as isize - t.start as isize,
+                            None => rng.below(7) as isize - 3,
+                        };
+                        let suffix: Vec<_> = model[hi..]
+                            .iter()
+                            .map(|e| shifted(e, delta as usize))
+                            .collect();
+                        model.truncate(lo);
+                        model.extend_from_slice(&new);
+                        model.extend(suffix);
+                        tape.splice(lo, &new, len - hi, delta);
+                        touched = Some((lo, hi));
+                    }
+                }
+                check(&tape, &model, true)?;
+                for (snap, image) in &held {
+                    check(snap, image, false)?;
+                }
+                // Chunks the step did not reach stay shared with the
+                // previous publish: all but the ones holding the replaced
+                // range and their two neighbours.
+                if let Some((lo, hi)) = touched {
+                    let a = before.chunk_ix(lo);
+                    let b = before.chunk_ix(hi.saturating_sub(1).max(lo));
+                    for (k, c) in before.spine.iter().enumerate() {
+                        if k + 1 < a || k > b + 1 {
+                            prop_assert!(
+                                tape.spine.iter().any(|d| Arc::ptr_eq(&c.entries, &d.entries)),
+                                "chunk {} copied by a step at {}..{}", k, lo, hi
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -124,38 +124,62 @@ fn canonical_rebuild<P: SequencePolicy>(
     sym: NonTerminal,
     policy: &P,
 ) -> bool {
-    let is_fallback = matches!(arena.kind(seq), NodeKind::Production { .. });
-    let state = if arena.state(seq).is_deterministic() {
-        arena.state(seq)
-    } else {
-        match flatten(arena, policy, seq, sym).1 {
-            Some(st) => st,
-            None => return false,
-        }
-    };
-    let Some(run_state) = policy.run_state(state, sym) else {
+    let Some((state, run_state)) = sequence_states(arena, policy, seq, sym) else {
         return false;
     };
+    let is_fallback = matches!(arena.kind(seq), NodeKind::Production { .. });
     let width = arena.width(seq).max(1) as usize;
     let bound = 2 * (usize::BITS - width.leading_zeros()) as usize + 4;
     if !is_fallback && arena.kids(seq).len() <= MAX_FANOUT && sequence_depth(arena, seq) <= bound {
         return false;
     }
+    rebuild_elements(arena, policy, seq, sym, state, run_state)
+}
+
+/// The state a sequence is recognized in and the state its runs are
+/// consumed in, or `None` when the sequence must be left alone. A fallback
+/// chain head carries the multistate sentinel; the sequence's true
+/// preceding state lives on its leftmost deterministic container.
+fn sequence_states<P: SequencePolicy>(
+    arena: &DagArena,
+    policy: &P,
+    seq: NodeId,
+    sym: NonTerminal,
+) -> Option<(ParseState, ParseState)> {
+    let state = if arena.state(seq).is_deterministic() {
+        arena.state(seq)
+    } else {
+        flatten(arena, policy, seq, sym).1?
+    };
+    Some((state, policy.run_state(state, sym)?))
+}
+
+/// Rebuilds a sequence from the element level: its first element, then one
+/// balanced run over the remaining steps. A fallback chain becomes a
+/// Sequence node. Returns whether it changed (a malformed mix of elements
+/// and separators is left as is).
+fn rebuild_elements<P: SequencePolicy>(
+    arena: &mut DagArena,
+    policy: &P,
+    seq: NodeId,
+    sym: NonTerminal,
+    state: ParseState,
+    run_state: ParseState,
+) -> bool {
     let (pieces, _) = flatten(arena, policy, seq, sym);
-    if pieces.is_empty() {
+    let Some((&first, rest)) = pieces.split_first() else {
+        return false;
+    };
+    let step_len = if policy.is_separated(sym) { 2 } else { 1 };
+    if rest.len() % step_len != 0 {
         return false;
     }
-    let step_len = if policy.is_separated(sym) { 2 } else { 1 };
-    let rest = &pieces[1..];
-    if rest.len() % step_len != 0 {
-        return false; // malformed mix: leave it
-    }
     let steps: Vec<&[NodeId]> = rest.chunks(step_len).collect();
-    let mut kids = vec![pieces[0]];
+    let mut kids = vec![first];
     if !steps.is_empty() {
-        kids.push(build_run(arena, sym, run_state, &steps));
+        kids.push(build_balanced(arena, sym, run_state, &steps));
     }
-    if is_fallback {
+    if matches!(arena.kind(seq), NodeKind::Production { .. }) {
         arena.convert_to_sequence(seq, sym, state);
     }
     arena.set_kids(seq, &kids);
@@ -287,58 +311,26 @@ fn rebalance_one<P: SequencePolicy>(
     sym: NonTerminal,
     policy: &P,
 ) -> bool {
-    let is_fallback = matches!(arena.kind(seq), NodeKind::Production { .. });
-    // A fallback chain head carries the multistate sentinel; the sequence's
-    // true preceding state lives on its leftmost deterministic container.
-    let state = if arena.state(seq).is_deterministic() {
-        arena.state(seq)
-    } else {
-        let (_, first) = flatten(arena, policy, seq, sym);
-        match first {
-            Some(st) => st,
-            None => return false,
-        }
-    };
-    let Some(run_state) = policy.run_state(state, sym) else {
+    let Some((state, run_state)) = sequence_states(arena, policy, seq, sym) else {
         return false;
     };
-    let fanout = arena.kids(seq).len();
-    if !is_fallback && fanout <= MAX_FANOUT {
+    let is_fallback = matches!(arena.kind(seq), NodeKind::Production { .. });
+    if !is_fallback && arena.kids(seq).len() <= MAX_FANOUT {
         return false;
     }
-    let separated = policy.is_separated(sym);
-
-    if containers_all_current(arena, policy, seq, sym) || is_fallback {
+    if is_fallback || containers_all_current(arena, policy, seq, sym) {
         // Whole sequence freshly built (batch case), or a fallback chain
         // (which must be canonicalized so edits near one ambiguous element
         // do not decompose the statement list around it): rebuild from the
         // element level.
-        let (pieces, _) = flatten(arena, policy, seq, sym);
-        if pieces.is_empty() {
-            return false;
-        }
-        let step_len = if separated { 2 } else { 1 };
-        let rest = &pieces[1..];
-        if rest.len() % step_len != 0 {
-            return false; // malformed mix: leave as is
-        }
-        let steps: Vec<&[NodeId]> = rest.chunks(step_len).collect();
-        let mut kids = vec![pieces[0]];
-        if !steps.is_empty() {
-            kids.push(build_run(arena, sym, run_state, &steps));
-        }
-        if is_fallback {
-            arena.convert_to_sequence(seq, sym, state);
-        }
-        arena.set_kids(seq, &kids);
-    } else {
-        // Incremental case: group the top-layer pieces without flattening
-        // reused runs. Cost is O(fanout).
-        let kids: Vec<NodeId> = arena.kids(seq).to_vec();
-        let units = group_units(arena, policy, &kids[1..], sym, separated);
-        let tree = build_unit_tree(arena, sym, run_state, &units);
-        arena.set_kids(seq, &[kids[0], tree]);
+        return rebuild_elements(arena, policy, seq, sym, state, run_state);
     }
+    // Incremental case: group the top-layer pieces without flattening
+    // reused runs. Cost is O(fanout).
+    let kids: Vec<NodeId> = arena.kids(seq).to_vec();
+    let units = group_units(arena, policy, &kids[1..], sym, policy.is_separated(sym));
+    let tree = build_balanced(arena, sym, run_state, &units);
+    arena.set_kids(seq, &[kids[0], tree]);
     true
 }
 
@@ -369,45 +361,25 @@ fn group_units<P: SequencePolicy>(
     units
 }
 
-/// Builds a balanced binary run tree over opaque units.
-fn build_unit_tree(
+/// Builds a balanced binary run tree over shiftable units (element-level
+/// steps, or the top-layer units of [`group_units`]). A one-piece unit is
+/// its own shiftable unit and needs no wrapper, which keeps the space
+/// overhead near zero.
+fn build_balanced<U: AsRef<[NodeId]>>(
     arena: &mut DagArena,
     sym: NonTerminal,
     run_state: ParseState,
-    units: &[Vec<NodeId>],
+    units: &[U],
 ) -> NodeId {
-    if units.len() == 1 {
-        let u = &units[0];
-        if u.len() == 1 {
-            return u[0];
-        }
-        return arena.seq_run(sym, run_state, u);
+    if let [unit] = units {
+        return match unit.as_ref() {
+            [piece] => *piece,
+            pieces => arena.seq_run(sym, run_state, pieces),
+        };
     }
     let mid = units.len() / 2;
-    let left = build_unit_tree(arena, sym, run_state, &units[..mid]);
-    let right = build_unit_tree(arena, sym, run_state, &units[mid..]);
-    arena.seq_run(sym, run_state, &[left, right])
-}
-
-/// Builds a balanced binary run tree over element-level steps.
-fn build_run(
-    arena: &mut DagArena,
-    sym: NonTerminal,
-    run_state: ParseState,
-    steps: &[&[NodeId]],
-) -> NodeId {
-    if steps.len() == 1 {
-        let step = steps[0];
-        if step.len() == 1 {
-            // A single unseparated element is its own shiftable unit; no
-            // wrapper needed (keeps the space overhead near zero).
-            return step[0];
-        }
-        return arena.seq_run(sym, run_state, step);
-    }
-    let mid = steps.len() / 2;
-    let left = build_run(arena, sym, run_state, &steps[..mid]);
-    let right = build_run(arena, sym, run_state, &steps[mid..]);
+    let left = build_balanced(arena, sym, run_state, &units[..mid]);
+    let right = build_balanced(arena, sym, run_state, &units[mid..]);
     arena.seq_run(sym, run_state, &[left, right])
 }
 

@@ -224,8 +224,9 @@ impl RelexResult {
 /// [`Lexer::relex_into`].
 ///
 /// The slice implementation answers both queries by linear/binary scans; a
-/// positional token store (e.g. a gap-buffered tape) can answer them in
-/// O(log n) so that incremental relexing never walks the whole stream.
+/// positional token store (e.g. a chunked token tape) can answer them
+/// from per-chunk summaries so that incremental relexing never walks the
+/// whole stream.
 pub trait TokenSource {
     /// Number of tokens.
     fn len(&self) -> usize;
