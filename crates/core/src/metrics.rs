@@ -67,6 +67,10 @@ pub struct ReparseReport {
     /// Whether this cycle adopted a new table epoch from the registry (a
     /// grammar hot-swap: full-damage reparse of the retained token tape).
     pub grammar_swapped: bool,
+    /// Previous-version nodes the cycle's successful parses retained
+    /// instead of rebuilding (the paper's explicit node retention): the
+    /// adoption parse of a grammar swap plus the incorporating reparse.
+    pub nodes_retained: usize,
 }
 
 /// Cumulative pipeline metrics of one session.
@@ -117,6 +121,8 @@ pub struct SessionMetrics {
     pub sem_full_rebuilds: u64,
     /// Grammar hot-swaps adopted (table epoch changes).
     pub grammar_swaps: u64,
+    /// Total previous-version nodes retained by successful parses.
+    pub nodes_retained: u64,
 }
 
 impl SessionMetrics {
@@ -143,6 +149,7 @@ impl SessionMetrics {
         self.sem_flips += r.sem_flips;
         self.sem_full_rebuilds += u64::from(r.sem_full_rebuild);
         self.grammar_swaps += u64::from(r.grammar_swapped);
+        self.nodes_retained += r.nodes_retained as u64;
     }
 }
 
@@ -171,6 +178,8 @@ mod tests {
             sem_contours_reused: 5,
             sem_flips: 1,
             sem_full_rebuild: true,
+            grammar_swapped: true,
+            nodes_retained: 13,
             ..ReparseReport::default()
         };
         m.absorb(&r);
@@ -194,5 +203,7 @@ mod tests {
         assert_eq!(m.sem_contours_reused, 10);
         assert_eq!(m.sem_flips, 2);
         assert_eq!(m.sem_full_rebuilds, 2);
+        assert_eq!(m.grammar_swaps, 2);
+        assert_eq!(m.nodes_retained, 26);
     }
 }

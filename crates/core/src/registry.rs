@@ -354,7 +354,8 @@ mod tests {
     use super::*;
     use crate::session::Session;
     use std::sync::{Arc, Barrier};
-    use wg_grammar::{GrammarBuilder, SeqKind, Symbol};
+    use wg_dag::DagStats;
+    use wg_grammar::{GrammarBuilder, SeqKind, Symbol, Terminal};
 
     fn stmt_grammar() -> Grammar {
         let mut b = GrammarBuilder::new("stmts");
@@ -726,43 +727,92 @@ mod tests {
 
     #[test]
     fn failed_adoption_keeps_the_old_tree_and_retries() {
-        // A delta that removes the only reading of the committed text: the
-        // session must refuse the swap (non-correcting recovery), keep
-        // serving the old epoch, and stay fully usable.
+        // A delta that removes the only reading of the committed text's
+        // last statement: the session must refuse the swap (non-correcting
+        // recovery), keep serving the old epoch, and stay fully usable.
         let reg = LanguageRegistry::new();
         let cfg = reg.get_or_compile(stmt_grammar(), stmt_lexdef()).unwrap();
-        let mut s = Session::new(&cfg, "a;").unwrap();
+        reg.update_grammar(&semi_only_delta(cfg.grammar())).unwrap();
+        let cfg = reg.get_or_compile(stmt_grammar(), stmt_lexdef()).unwrap();
+        let mut s = Session::new(&cfg, "a; b; ;").unwrap();
+        let before = s.dump();
         let g = cfg.grammar();
+        let id = g.terminal_by_name("id").unwrap();
         let semi = g.terminal_by_name(";").unwrap();
         let stmt = g.nonterminal_by_name("stmt").unwrap();
-        let id_semi = (0..g.num_productions())
-            .map(wg_grammar::ProdId::from_index)
-            .find(|&p| {
-                let pr = g.production(p);
-                pr.lhs() == stmt && pr.rhs().len() == 2
-            })
-            .unwrap();
+        // Take `stmt -> ;` (the last production) out again, and add
+        // `stmt -> id id ;`, which renumbers the state `b;` is reduced in.
         let mut d = GrammarDelta::new(g);
-        d.remove_production(id_semi);
-        d.add_production(stmt, vec![Symbol::T(semi)]);
+        d.remove_production(wg_grammar::ProdId::from_index(g.num_productions() - 1));
+        d.add_production(stmt, vec![Symbol::T(id), Symbol::T(id), Symbol::T(semi)]);
+        let (g2, _) = g.apply_delta(&d).unwrap();
+        let renumbered = Session::new(&SessionConfig::new(g2, stmt_lexdef()).unwrap(), "a; b;")
+            .unwrap()
+            .dump();
+        assert_ne!(renumbered, Session::new(&cfg, "a; b;").unwrap().dump());
         reg.update_grammar(&d).unwrap();
         let out = s.reparse().unwrap();
         assert!(
             !out.report.grammar_swapped,
-            "`a;` has no parse under the new grammar"
+            "a bare `;` has no parse under the new grammar"
         );
-        assert_eq!(s.table_epoch(), 0);
+        assert_eq!(s.table_epoch(), 1);
         assert_eq!(s.grammar_swaps(), 0);
+        // The refused parse retained `a;` and `b;` under the new table's
+        // states before it failed; the refusal restores every one of them.
+        assert!(s.arena().retained_this_epoch() >= 2);
+        assert_eq!(s.dump(), before);
         // The session still serves edits under the old table.
-        s.insert(2, " b;");
+        s.insert(7, " c;");
         let out = s.reparse().unwrap();
         assert!(out.incorporated);
         assert!(
             !out.report.grammar_swapped,
             "committed text is still old-only"
         );
-        assert_eq!(s.text(), "a; b;");
-        assert_eq!(s.token_count(), 4);
+        assert_eq!(s.text(), "a; b; ; c;");
+        assert_eq!(s.token_count(), 7);
+    }
+
+    #[test]
+    fn adoption_of_a_forking_parse_equals_a_fresh_session() {
+        // `e -> e + e | id` forks at every `+`. Deltas adding and removing
+        // `e -> $eof` change the table but not the parse: each adopted
+        // forest, choice points and multistate marks included, must dump
+        // exactly as a fresh session's under a from-scratch table.
+        let mut b = GrammarBuilder::new("sum");
+        let id = b.terminal("id");
+        let plus = b.terminal("+");
+        let e = b.nonterminal("e");
+        b.prod(e, vec![Symbol::N(e), Symbol::T(plus), Symbol::N(e)]);
+        b.prod(e, vec![Symbol::T(id)]);
+        b.start(e);
+        let g0 = b.build().unwrap();
+        let mut lx = LexerDef::new();
+        lx.rule("id", "[a-z]+").unwrap();
+        lx.literal("+", "+");
+        lx.skip("ws", " +").unwrap();
+        let reg = LanguageRegistry::new();
+        let cfg = reg.get_or_compile(g0.clone(), lx.clone()).unwrap();
+        let text = "a + b + c + d";
+        let mut s = Session::new(&cfg, text).unwrap();
+        assert!(DagStats::compute(s.arena(), s.root()).choice_points > 0);
+        for _ in 0..2 {
+            let mut add = GrammarDelta::new(&g0);
+            add.add_production(e, vec![Symbol::T(Terminal::EOF)]);
+            let (g1, _) = g0.apply_delta(&add).unwrap();
+            let added = wg_grammar::ProdId::from_index(g1.num_productions() - 1);
+            let mut remove = GrammarDelta::new(&g1);
+            remove.remove_production(added);
+            let added_cfg = SessionConfig::new(g1, lx.clone()).unwrap();
+            for (delta, fresh_cfg) in [(add, &added_cfg), (remove, &cfg)] {
+                reg.update_grammar(&delta).unwrap();
+                let out = s.reparse().unwrap();
+                assert!(out.report.grammar_swapped);
+                assert_eq!(s.dump(), Session::new(fresh_cfg, text).unwrap().dump());
+            }
+        }
+        assert_eq!(s.grammar_swaps(), 4);
     }
 
     #[test]

@@ -309,9 +309,13 @@ impl Session {
     /// rope, the token tape, and every terminal dag node survive untouched
     /// (terminal ids are stable — deltas only extend the terminal set), so
     /// all relex work is salvaged and only the batch parse over the
-    /// existing terminal nodes is repaid. On parse failure (the committed
-    /// text is invalid under the new grammar) the old tree and table stay
-    /// authoritative and adoption is retried on the next reparse.
+    /// existing terminal nodes is repaid. That parse retains every old
+    /// nonterminal node it re-derives with the same production and kids
+    /// (see [`DagArena::try_reuse_production`]), so a delta that changes no
+    /// parse rebuilds only sequence spines and ambiguous regions. On parse
+    /// failure (the committed text is invalid under the new grammar) the old
+    /// tree and table stay authoritative and adoption is retried on the next
+    /// reparse.
     ///
     /// Returns whether a swap was adopted this call.
     fn adopt_current_table(&mut self) -> bool {
@@ -327,8 +331,9 @@ impl Session {
             .with_slot(slot, epoch);
         let token_nodes: Vec<NodeId> = self.tape.nodes().collect();
         // Mirror the failed-incorporation discipline of `reparse_in`: a new
-        // epoch so prior-epoch parent overwrites are logged and undone if
-        // the new grammar rejects the text.
+        // epoch so overwrites of prior-epoch nodes (parents, and the states
+        // retention rewrites to the new table's numbering) are logged and
+        // undone if the new grammar rejects the text.
         self.arena.begin_epoch();
         let parser = IglrParser::new(candidate.grammar(), candidate.table());
         match parser.parse_terminal_nodes_in(&mut self.scratch, &mut self.arena, &token_nodes) {
@@ -336,9 +341,10 @@ impl Session {
                 self.root = root;
                 self.config = candidate;
                 self.last_snapshot = None;
-                // Every old nonterminal node died with the swap. Collect
-                // now: an idle document may see no edit (and so no
-                // reparse-time collection) before the next swap.
+                // Every old nonterminal node the parse did not retain died
+                // with the swap. Collect now: an idle document may see no
+                // edit (and so no reparse-time collection) before the next
+                // swap.
                 Self::maybe_gc(&mut self.arena, self.root);
                 if let Some(sem) = self.sem.as_mut() {
                     sem.rebuild(&self.arena, self.root);
@@ -346,7 +352,7 @@ impl Session {
                 true
             }
             Err(_) => {
-                self.arena.rollback_parents();
+                self.arena.rollback_epoch();
                 self.arena.clear_changes();
                 false
             }
@@ -480,6 +486,7 @@ impl Session {
         report.grammar_swapped = self.adopt_current_table();
         if report.grammar_swapped {
             report.maintenance += t_swap.elapsed();
+            report.nodes_retained += self.arena.retained_this_epoch();
         }
         let pending = self.buffer.pending_len();
         let (k, stats, error) = if pending > 0 {
@@ -561,6 +568,7 @@ impl Session {
                     continue;
                 }
             };
+            report.nodes_retained += self.arena.retained_this_epoch();
             let t_buf = Instant::now();
             self.buffer.restore_pending();
             self.buffer.commit_prefix(k);
@@ -1427,6 +1435,9 @@ mod retention_tests {
         // The very same node object survives — annotations on it would too.
         let a_after = s.node_path_at(0)[2];
         assert_eq!(a_before, a_after, "identity preserved across reparse");
+        // The cycle's report and the session totals carry the count.
+        assert_eq!(out.report.nodes_retained, s.arena().retained_this_epoch());
+        assert_eq!(s.metrics().nodes_retained, out.report.nodes_retained as u64);
     }
 
     #[test]

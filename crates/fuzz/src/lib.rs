@@ -16,7 +16,8 @@
 //!   (acceptance and parse count), batch GLR ≡ the deterministic incremental
 //!   parser on conflict-free tables, a fresh parse ≡ a reparse of its own
 //!   tree (the one GLR engine's fresh and reuse paths), incremental reparse
-//!   ≡ from-scratch parse after every edit, and the packed
+//!   ≡ from-scratch parse after every edit, a grammar swap's adopted tree ≡
+//!   a fresh parse under the mutated grammar, and the packed
 //!   [`wg_lrtable::LrTable`] ≡ the naive [`wg_lrtable::RefTable`] on every
 //!   cell.
 //!
@@ -32,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
-use wg_core::{IglrParser, Session, SessionConfig};
+use wg_core::{IglrParser, LanguageRegistry, Session, SessionConfig, UpdateError};
 use wg_dag::{structurally_equal, yield_terminals, DagArena, FxHashMap, NodeId, NodeKind};
 use wg_earley::EarleyParser;
 use wg_grammar::{Grammar, GrammarBuilder, GrammarDelta, NonTerminal, Symbol, Terminal};
@@ -689,12 +690,72 @@ fn check_delta_chain(case: &Case, base_g: &Grammar, base_t: &LrTable) -> Result<
     Ok(applied)
 }
 
+/// The mutation class's adoption oracle: a registry-backed [`Session`] on
+/// the case's document adopts every applied delta step at its next
+/// reparse. Whenever the mutated grammar accepts the text, the adopted
+/// tree must dump exactly as a fresh session under a table built from
+/// scratch, recorded parse states included: retention rewrites the states
+/// of the old nodes it keeps. Whenever the grammar rejects the text, the
+/// session must refuse the swap and keep its tree byte for byte.
+fn adopt_vs_fresh(case: &Case) -> Result<(), Divergence> {
+    let (mut g, lx) = case
+        .build_defs()
+        .map_err(|e| diverge("adopt-vs-fresh", e))?;
+    let reg = LanguageRegistry::new();
+    let cfg = reg
+        .get_or_compile(g.clone(), lx.clone())
+        .map_err(|e| diverge("adopt-vs-fresh", e.to_string()))?;
+    let Ok(mut session) = Session::new(&cfg, &case.doc) else {
+        return Ok(()); // no tree to adopt
+    };
+    for (i, step) in case.deltas.iter().enumerate() {
+        let Some(d) = build_delta(&g, step) else {
+            continue;
+        };
+        let Ok((ng, _)) = g.apply_delta(&d) else {
+            continue;
+        };
+        match reg.update_grammar(&d) {
+            Ok(_) => g = ng,
+            // Refused as `check_delta_chain` saw: nothing to chain onto.
+            Err(UpdateError::Table(_)) => break,
+            Err(e) => {
+                return Err(diverge(
+                    "adopt-vs-fresh",
+                    format!("delta step {i}: registry refused the update: {e}"),
+                ))
+            }
+        }
+        let before = session.dump();
+        let out = session
+            .reparse()
+            .map_err(|e| diverge("adopt-vs-fresh", format!("reparse error: {e}")))?;
+        let fresh = SessionConfig::new(g.clone(), lx.clone())
+            .ok()
+            .and_then(|c| Session::new(&c, &case.doc).ok());
+        let wrong = match (out.report.grammar_swapped, fresh) {
+            (true, Some(f)) if session.dump() != f.dump() => {
+                "adopted tree differs from a fresh parse"
+            }
+            (false, None) if session.dump() != before => "refused adoption changed the tree",
+            (true, None) => "adopted a text the new grammar rejects",
+            (false, Some(_)) => "refused a text the new grammar accepts",
+            _ => continue,
+        };
+        return Err(diverge(
+            "adopt-vs-fresh",
+            format!("delta step {i}: {wrong}"),
+        ));
+    }
+    Ok(())
+}
+
 /// Runs the full differential check over one case.
 ///
 /// Stages (each a potential [`Divergence::stage`]):
 /// `grammar-build`, `table-build`, `packed-vs-ref`, `incr-table`,
-/// `doc-tokens`, `glr-vs-earley-acceptance`, `fresh-vs-reuse`,
-/// `glr-vs-earley-count`, `sentential`, `session`,
+/// `adopt-vs-fresh`, `doc-tokens`, `glr-vs-earley-acceptance`,
+/// `fresh-vs-reuse`, `glr-vs-earley-count`, `sentential`, `session`,
 /// `incremental-vs-batch`. The batch GLR forest the `glr-*` and
 /// `sentential` stages read is the [`IglrParser`]'s batch parse.
 ///
@@ -724,6 +785,7 @@ pub fn check_case(case: &Case) -> Result<CaseOutcome, Divergence> {
 
     if !case.deltas.is_empty() {
         outcome.deltas_applied = check_delta_chain(case, &g, &table)?;
+        adopt_vs_fresh(case)?;
     }
 
     let toks = case.tokens(&g).map_err(|e| diverge("doc-tokens", e))?;
