@@ -116,26 +116,21 @@ impl Nfa {
 
     /// ε-closure of a set of states (sorted, deduplicated).
     pub fn eps_closure(&self, states: &[NfaState]) -> Vec<NfaState> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack: Vec<NfaState> = states.to_vec();
-        for &s in states {
-            seen[s] = true;
-        }
-        while let Some(s) = stack.pop() {
-            for &t in &self.nodes[s].eps {
-                if !seen[t] {
-                    seen[t] = true;
-                    stack.push(t);
+        // A worklist over the output itself, so the cost follows the
+        // closure rather than the NFA's size: determinization calls this
+        // once per DFA state and byte, and closures are small.
+        let mut out: Vec<NfaState> = states.to_vec();
+        let mut i = 0;
+        while i < out.len() {
+            for &t in &self.nodes[out[i]].eps {
+                if !out.contains(&t) {
+                    out.push(t);
                 }
             }
+            i += 1;
         }
-        let mut out: Vec<NfaState> = seen
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v)
-            .map(|(i, _)| i)
-            .collect();
         out.sort_unstable();
+        out.dedup();
         out
     }
 }
