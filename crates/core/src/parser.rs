@@ -9,8 +9,7 @@ use wg_dag::{
     ParseState,
 };
 use wg_glr::{
-    build_reduction_node, ps, same_derivation, Gss, GssIdx, Link, MergeTables, ParseScratch,
-    RoundSet, TablePolicy,
+    build_reduction_node, ps, Gss, GssIdx, Link, MergeTables, ParseScratch, RoundSet, TablePolicy,
 };
 use wg_grammar::{Grammar, NonTerminal, ProdId, Terminal};
 use wg_lrtable::{Action, LrTable, StateId};
@@ -286,7 +285,6 @@ impl<'a> IglrParser<'a> {
         let mut run = IglrRun {
             g: self.g,
             table: self.table,
-            only_terminals: stream.holds_only_terminals(arena),
             shared: false,
             gss,
             merge,
@@ -340,12 +338,6 @@ const EXPECTED_SEARCH_BUDGET: usize = 1024;
 struct IglrRun<'a> {
     g: &'a Grammar,
     table: &'a LrTable,
-    /// Whether the input stream held terminals only when the run began (a
-    /// batch parse: `Session::new`, grammar-swap adoption, `parse_tokens`).
-    /// Such a run takes the fast path whenever one parser is left to act;
-    /// a run over a previous tree only while the frontier is one node (see
-    /// [`IglrRun::deterministic`]).
-    only_terminals: bool,
     /// Whether the run may have shared a node or left a dead one behind:
     /// set by every GSS merge and every reduction through the merge tables.
     /// Together with a fork (a non-deterministic round) it decides whether
@@ -505,6 +497,17 @@ impl IglrRun<'_> {
         n
     }
 
+    /// Takes a packing's result, `(label, replaced)`: a proxy the packing
+    /// upgraded to the symbol node `label` is relabelled on every GSS link
+    /// and forwarded for the reduction paths captured before the upgrade.
+    fn follow_upgrade(&mut self, (label, replaced): (NodeId, Option<NodeId>)) -> NodeId {
+        if let Some(old) = replaced {
+            self.gss.relabel_all(old, label);
+            self.forward.insert(old, label);
+        }
+        label
+    }
+
     /// Re-queues every parser in the current frontier for another actor
     /// pass. Called when a reduction adds a new GSS link to a node that was
     /// already processed: reduction paths of *other* parsers may traverse
@@ -520,27 +523,17 @@ impl IglrRun<'_> {
     }
 
     /// Whether parser `p`, just taken off the worklist, may act as the
-    /// deterministic LR parser: the round has not forked and no other
-    /// parser can still act.
-    ///
-    /// Over a terminal-only input that means nothing else is queued or
-    /// pending a shift and `p` is no merge point (at most one link).
-    /// Frontier nodes that already acted this round do not count: a goto
-    /// can reach one only as a GSS merge, which takes the general path.
-    ///
-    /// A run over a previous tree keeps the stricter rule that the
-    /// frontier is `p` alone. There, subtree shifts and breakdowns decide
-    /// what the frontier holds, and applying the relaxed rule changes which
-    /// edits the reuse path incorporates.
+    /// deterministic LR parser: the round has not forked, nothing else is
+    /// queued or pending a shift, and `p` is no merge point (at most one
+    /// link). Frontier nodes that already acted this round do not count: a
+    /// goto can reach one only as a GSS merge, which takes the general path.
+    /// The rule is the same for a batch parse and a reparse over a previous
+    /// tree.
     fn deterministic(&self, p: GssIdx) -> bool {
-        if self.multi {
-            return false;
-        }
-        if self.only_terminals {
-            self.for_actor.is_empty() && self.for_shifter.is_empty() && self.gss.links(p).len() <= 1
-        } else {
-            self.active.len() == 1
-        }
+        !self.multi
+            && self.for_actor.is_empty()
+            && self.for_shifter.is_empty()
+            && self.gss.links(p).len() <= 1
     }
 
     fn actor(&mut self, arena: &mut DagArena, p: GssIdx, redla: Terminal) {
@@ -734,7 +727,7 @@ impl IglrRun<'_> {
             arena,
             self.g,
             rule,
-            &self.path_slab[range.clone()],
+            &self.path_slab[range],
             ps(self.gss.state(q)),
             self.multi,
         );
@@ -743,39 +736,11 @@ impl IglrRun<'_> {
             if let Some(pos) = self.gss.find_link(p, q) {
                 // Local ambiguity packing into the existing link.
                 let label = self.resolve(self.gss.links(p)[pos].node);
-                if label == node {
-                    return; // idempotent re-derivation
-                }
-                // A re-derivation from a previous round (or the fast path)
-                // is not in this round's merge tables, so `node` can be a
-                // fresh instance — fresh ε subtrees included — of a
-                // derivation the forest already holds, which defeats plain
-                // kid-identity comparison. Structural comparison keeps it
-                // from being packed as spurious ambiguity.
-                if same_derivation(arena, label, rule, &self.path_slab[range.clone()]) {
-                    return;
-                }
-                if matches!(arena.kind(label), NodeKind::Symbol { .. }) {
-                    if arena.kids(label).iter().any(|&alt| {
-                        same_derivation(arena, alt, rule, &self.path_slab[range.clone()])
-                    }) {
-                        return;
-                    }
-                    arena.add_choice(label, node);
-                } else {
-                    let sym = arena.symbol(lhs, label);
-                    arena.add_choice(sym, node);
-                    self.gss.relabel_all(label, sym);
-                    self.merge.record_symbol(lhs, arena.width(sym), sym);
-                    self.merge.upgrade_proxy(arena, label, sym);
-                    self.forward.insert(label, sym);
-                }
+                let packed = self.merge.pack(arena, lhs, label, node);
+                self.follow_upgrade(packed);
             } else {
-                let (label, replaced) = self.merge.get_symbol_node(arena, lhs, node);
-                if let Some(old) = replaced {
-                    self.gss.relabel_all(old, label);
-                    self.forward.insert(old, label);
-                }
+                let packed = self.merge.get_symbol_node(arena, lhs, node);
+                let label = self.follow_upgrade(packed);
                 self.gss.add_link(
                     p,
                     Link {
@@ -793,11 +758,8 @@ impl IglrRun<'_> {
                 self.reactivate_frontier();
             }
         } else {
-            let (label, replaced) = self.merge.get_symbol_node(arena, lhs, node);
-            if let Some(old) = replaced {
-                self.gss.relabel_all(old, label);
-                self.forward.insert(old, label);
-            }
+            let packed = self.merge.get_symbol_node(arena, lhs, node);
+            let label = self.follow_upgrade(packed);
             let p = self.gss.push(
                 goto,
                 Link {

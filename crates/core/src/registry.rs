@@ -759,8 +759,9 @@ mod tests {
         assert_eq!(s.table_epoch(), 1);
         assert_eq!(s.grammar_swaps(), 0);
         // The refused parse retained `a;` and `b;` under the new table's
-        // states before it failed; the refusal restores every one of them.
-        assert!(s.arena().retained_this_epoch() >= 2);
+        // states before it failed; the refusal restores every one of them
+        // and its retentions no longer count.
+        assert_eq!(s.arena().retained_this_epoch(), 0);
         assert_eq!(s.dump(), before);
         // The session still serves edits under the old table.
         s.insert(7, " c;");

@@ -54,14 +54,6 @@ impl InputStream {
         }
     }
 
-    /// Whether every pending item is a terminal (or the EOS sentinel): the
-    /// stream of a batch parse, which never offers a subtree to shift.
-    pub fn holds_only_terminals(&self, arena: &DagArena) -> bool {
-        self.stack
-            .iter()
-            .all(|&n| matches!(arena.kind(n), NodeKind::Terminal { .. } | NodeKind::Eos))
-    }
-
     /// The current lookahead subtree, or `None` when exhausted.
     #[inline]
     pub fn la(&self) -> Option<NodeId> {

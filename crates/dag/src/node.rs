@@ -64,8 +64,9 @@ impl fmt::Display for ParseState {
     }
 }
 
-/// What a dag node represents.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a dag node represents. The order (variant, then fields) is the
+/// first key of a choice node's alternative order.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NodeKind {
     /// A token. `term` is the grammar terminal; `lexeme` its text.
     Terminal {
@@ -179,6 +180,15 @@ impl Kids {
         match self {
             Kids::Inline { buf, len } => &buf[..*len as usize],
             Kids::Slab { off, len, .. } => &slab[*off as usize..(*off + *len) as usize],
+        }
+    }
+
+    /// [`Kids::resolve`] for writing the kids in place.
+    #[inline]
+    pub(crate) fn resolve_mut<'a>(&'a mut self, slab: &'a mut [NodeId]) -> &'a mut [NodeId] {
+        match self {
+            Kids::Inline { buf, len } => &mut buf[..*len as usize],
+            Kids::Slab { off, len, .. } => &mut slab[*off as usize..(*off + *len) as usize],
         }
     }
 

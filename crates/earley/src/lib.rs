@@ -197,8 +197,9 @@ impl<'a> EarleyParser<'a> {
 
     /// Counts complete derivations of `nt` spanning the whole input — a
     /// cross-check for the dag's ambiguity packing on *small* inputs
-    /// (exponential in the worst case; test use only).
-    pub fn count_parses(&self, input: &[Terminal], nt: NonTerminal) -> usize {
+    /// (exponential in the worst case; test use only). The count saturates
+    /// at `u128::MAX`, so it is exact below 2^128.
+    pub fn count_parses(&self, input: &[Terminal], nt: NonTerminal) -> u128 {
         count(
             self.g,
             input,
@@ -241,9 +242,9 @@ fn count(
     nt: NonTerminal,
     i: usize,
     j: usize,
-    memo: &mut std::collections::HashMap<(u32, usize, usize), usize>,
+    memo: &mut std::collections::HashMap<(u32, usize, usize), u128>,
     visiting: &mut std::collections::HashMap<(u32, usize, usize), usize>,
-) -> (usize, usize) {
+) -> (u128, usize) {
     let key = (nt.index() as u32, i, j);
     if let Some(&c) = memo.get(&key) {
         return (c, CLEAN);
@@ -257,7 +258,7 @@ fn count(
     let mut dep = CLEAN;
     for p in g.productions_for(nt) {
         let (c, d) = count_rhs(g, input, g.production(p).rhs(), i, j, memo, visiting);
-        total += c;
+        total = c.saturating_add(total);
         dep = dep.min(d);
     }
     visiting.remove(&key);
@@ -274,11 +275,11 @@ fn count_rhs(
     rhs: &[Symbol],
     i: usize,
     j: usize,
-    memo: &mut std::collections::HashMap<(u32, usize, usize), usize>,
+    memo: &mut std::collections::HashMap<(u32, usize, usize), u128>,
     visiting: &mut std::collections::HashMap<(u32, usize, usize), usize>,
-) -> (usize, usize) {
+) -> (u128, usize) {
     match rhs.first() {
-        None => (usize::from(i == j), CLEAN),
+        None => (u128::from(i == j), CLEAN),
         Some(Symbol::T(t)) => {
             if i < j && input[i] == *t {
                 count_rhs(g, input, &rhs[1..], i + 1, j, memo, visiting)
@@ -294,7 +295,7 @@ fn count_rhs(
                 dep = dep.min(ld);
                 if left > 0 {
                     let (right, rd) = count_rhs(g, input, &rhs[1..], k, j, memo, visiting);
-                    total += left * right;
+                    total = left.saturating_mul(right).saturating_add(total);
                     dep = dep.min(rd);
                 }
             }

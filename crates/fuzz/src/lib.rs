@@ -405,7 +405,7 @@ pub struct CaseOutcome {
     /// Whether the (pre-edit) document was accepted.
     pub accepted: bool,
     /// Number of parses of the document, when cheap enough to count.
-    pub parse_count: Option<u64>,
+    pub parse_count: Option<u128>,
     /// Edit steps replayed against the batch oracle.
     pub edits_replayed: usize,
     /// Delta steps applied through the incremental table updater (skipped
@@ -469,12 +469,13 @@ pub fn forests_equal(a: &DagArena, ra: NodeId, b: &DagArena, rb: NodeId) -> bool
     go(a, ra, b, rb, &mut HashMap::new())
 }
 
-/// Saturating count of the parse trees a packed forest embeds: symbol
-/// (choice) nodes sum over their alternatives, every other interior node
-/// multiplies over its kids. Memoized over [`NodeId`], so sharing is
-/// respected. Compared against Earley's derivation count on small inputs.
-pub fn dag_parse_count(arena: &DagArena, root: NodeId) -> u64 {
-    fn go(a: &DagArena, n: NodeId, memo: &mut HashMap<NodeId, u64>) -> u64 {
+/// Count of the parse trees a packed forest embeds, saturating at
+/// `u128::MAX` as Earley's count does: symbol (choice) nodes sum over their
+/// alternatives, every other interior node multiplies over its kids.
+/// Memoized over [`NodeId`], so sharing is respected. Compared against
+/// Earley's derivation count on small inputs.
+pub fn dag_parse_count(arena: &DagArena, root: NodeId) -> u128 {
+    fn go(a: &DagArena, n: NodeId, memo: &mut HashMap<NodeId, u128>) -> u128 {
         if let Some(&c) = memo.get(&n) {
             return c;
         }
@@ -482,11 +483,11 @@ pub fn dag_parse_count(arena: &DagArena, root: NodeId) -> u64 {
         let c = match a.kind(n) {
             NodeKind::Symbol { .. } => kids
                 .iter()
-                .fold(0u64, |acc, &k| acc.saturating_add(go(a, k, memo))),
+                .fold(0u128, |acc, &k| acc.saturating_add(go(a, k, memo))),
             NodeKind::Terminal { .. } | NodeKind::Bos | NodeKind::Eos => 1,
             _ => kids
                 .iter()
-                .fold(1u64, |acc, &k| acc.saturating_mul(go(a, k, memo))),
+                .fold(1u128, |acc, &k| acc.saturating_mul(go(a, k, memo))),
         };
         memo.insert(n, c);
         c
@@ -811,7 +812,7 @@ pub fn check_case(case: &Case) -> Result<CaseOutcome, Divergence> {
         fresh_vs_reuse(&iglr, &pairs, &batch_arena, root)?;
         if !has_prec && toks.len() <= 24 {
             let dag_n = dag_parse_count(&batch_arena, root);
-            let earley_n = earley.count_parses(&toks, g.start()) as u64;
+            let earley_n = earley.count_parses(&toks, g.start());
             if dag_n != earley_n {
                 return Err(diverge(
                     "glr-vs-earley-count",

@@ -9,10 +9,9 @@
 //!
 //! This crate holds the parts of that machinery that are not the driver:
 //! the GSS, the per-round merge tables that give the dag its optimal
-//! sharing (Section 3.5), the reduction-node builder that represents
-//! declared sequences as balanced containers, the structural
-//! re-derivation test, the pooled per-run [`ParseScratch`], and the
-//! state annotations and [`TablePolicy`] shared with the deterministic
+//! sharing (Section 3.5) and pack local ambiguity, the reduction-node
+//! builder that represents declared sequences as balanced containers, the
+//! pooled per-run [`ParseScratch`], and the state annotations and [`TablePolicy`] shared with the deterministic
 //! parser. There is one GLR driver, `wg_core::IglrParser`: a batch parse
 //! is an incremental parse whose input stream holds terminals only
 //! (Appendix A's `parse_next_symbol` over a token stream).
@@ -31,6 +30,6 @@ mod policy;
 mod scratch;
 
 pub use gss::{Gss, GssIdx, Link, RoundSet};
-pub use merge::{build_reduction_node, same_derivation, same_structure, MergeTables};
+pub use merge::{build_reduction_node, MergeTables};
 pub use policy::{ps, sid, TablePolicy};
 pub use scratch::ParseScratch;

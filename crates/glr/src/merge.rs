@@ -9,6 +9,8 @@
 //! * `get_symbol_node` — one choice point per (phylum, yield), with lazy
 //!   instantiation: a lone interpretation is its own proxy and a real
 //!   symbol node appears only when a second interpretation shows up.
+//!   [`MergeTables::pack`] does the packing, here and for a reduction
+//!   that re-derives an existing GSS link.
 //!
 //! Both tables are scoped to a single shift round, because reductions in one
 //! round all produce subtrees with a common right edge.
@@ -189,12 +191,6 @@ impl MergeTables {
         n
     }
 
-    /// Records an externally constructed symbol node (the pack-into-link
-    /// case upgrades a proxy outside this table).
-    pub fn record_symbol(&mut self, symbol: NonTerminal, width: u32, node: NodeId) {
-        self.symbols.insert((symbol, width), node);
-    }
-
     /// Rewrites every intra-round reference to an upgraded proxy: dag nodes
     /// built this round that hold `old` as a kid now hold `sym`, and the
     /// node table is rekeyed accordingly. (GSS links are the caller's job.)
@@ -207,7 +203,7 @@ impl MergeTables {
     /// The stale slot keeps its old hash so other probe chains stay intact;
     /// it can no longer match (its stored hash belongs to a key that no
     /// longer exists) and dies at the next round's [`MergeTables::clear`].
-    pub fn upgrade_proxy(&mut self, arena: &mut DagArena, old: NodeId, sym: NodeId) {
+    fn upgrade_proxy(&mut self, arena: &mut DagArena, old: NodeId, sym: NodeId) {
         if self.entries.is_empty() {
             return;
         }
@@ -244,11 +240,9 @@ impl MergeTables {
     }
 
     /// Appendix A's `get_symbolnode` with lazy instantiation: returns the
-    /// node to label a GSS link with. If another interpretation of the same
-    /// (symbol, cover) already exists, the two are packed under a symbol
-    /// node; the returned value is then that symbol node, and
-    /// `replaced` reports a proxy that was upgraded (so the caller can
-    /// relabel GSS links pointing at it).
+    /// node to label a GSS link with. The first interpretation of a
+    /// (symbol, cover) is its own proxy; a later one is packed with it by
+    /// [`MergeTables::pack`].
     pub fn get_symbol_node(
         &mut self,
         arena: &mut DagArena,
@@ -261,51 +255,43 @@ impl MergeTables {
                 self.symbols.insert(key, node);
                 (node, None)
             }
-            Some(existing) if existing == node => (node, None),
-            // A structurally identical re-derivation (fresh ε instances
-            // from a different round defeat id comparison) must not pack
-            // as spurious ambiguity.
-            Some(existing) if same_structure(arena, existing, node) => (existing, None),
-            Some(existing) => {
-                if matches!(arena.kind(existing), NodeKind::Symbol { .. }) {
-                    if arena
-                        .kids(existing)
-                        .iter()
-                        .any(|&alt| same_structure(arena, alt, node))
-                    {
-                        return (existing, None);
-                    }
-                    arena.add_choice(existing, node);
-                    (existing, None)
-                } else {
-                    // Upgrade the proxy to a real symbol node.
-                    let sym = arena.symbol(symbol, existing);
-                    arena.add_choice(sym, node);
-                    self.symbols.insert(key, sym);
-                    self.upgrade_proxy(arena, existing, sym);
-                    (sym, Some(existing))
-                }
-            }
+            Some(existing) => self.pack(arena, symbol, existing, node),
         }
     }
-}
 
-/// Whether `cand` is a production node for `rule` over `kids` up to
-/// structural equality — the cross-round re-derivation test. Identical
-/// `NodeId`s short-circuit; only production spines are compared deeper,
-/// which bounds the walk to the freshly rebuilt (typically ε) fringe.
-pub fn same_derivation(arena: &DagArena, cand: NodeId, rule: ProdId, kids: &[NodeId]) -> bool {
-    match arena.kind(cand) {
-        NodeKind::Production { prod } if *prod == rule => {
-            let ck = arena.kids(cand);
-            let mut memo = FxHashMap::default();
-            ck.len() == kids.len()
-                && ck
-                    .iter()
-                    .zip(kids)
-                    .all(|(&a, &b)| same_structure_memo(arena, a, b, &mut memo))
+    /// Local ambiguity packing: adds `node` as an interpretation beside
+    /// `existing` (a proxy or a symbol node of the same symbol and cover)
+    /// and returns the node that now stands for both. A proxy is upgraded
+    /// to a real symbol node, recorded for the round and patched into every
+    /// node this round built over it; `replaced` reports the proxy so the
+    /// caller can relabel GSS links pointing at it. A structurally
+    /// identical re-derivation (a previous round's node, fresh ε instances
+    /// from a different round) is not packed as spurious ambiguity.
+    pub fn pack(
+        &mut self,
+        arena: &mut DagArena,
+        symbol: NonTerminal,
+        existing: NodeId,
+        node: NodeId,
+    ) -> (NodeId, Option<NodeId>) {
+        if same_structure(arena, existing, node) {
+            return (existing, None);
         }
-        _ => false,
+        if matches!(arena.kind(existing), NodeKind::Symbol { .. }) {
+            if !arena
+                .kids(existing)
+                .iter()
+                .any(|&alt| same_structure(arena, alt, node))
+            {
+                arena.add_choice(existing, node);
+            }
+            return (existing, None);
+        }
+        let sym = arena.symbol(symbol, existing);
+        arena.add_choice(sym, node);
+        self.symbols.insert((symbol, arena.width(sym)), sym);
+        self.upgrade_proxy(arena, existing, sym);
+        (sym, Some(existing))
     }
 }
 
@@ -313,7 +299,7 @@ pub fn same_derivation(arena: &DagArena, cand: NodeId, rule: ProdId, kids: &[Nod
 /// same rule with structurally equal kids. Distinct symbol/terminal nodes
 /// never compare equal (conservative — may miss a dedup, never invents
 /// one).
-pub fn same_structure(arena: &DagArena, a: NodeId, b: NodeId) -> bool {
+fn same_structure(arena: &DagArena, a: NodeId, b: NodeId) -> bool {
     let mut memo = FxHashMap::default();
     same_structure_memo(arena, a, b, &mut memo)
 }
@@ -567,7 +553,7 @@ mod tests {
             ParseState(3),
             true,
         );
-        mt.record_symbol(s, arena.width(proxy), proxy);
+        mt.get_symbol_node(&mut arena, s, proxy);
         // A second interpretation arrives: the proxy upgrades.
         let p2 = arena.production(ProdId::from_index(1), ParseState::MULTI, &[z]);
         let (sym, replaced) = mt.get_symbol_node(&mut arena, s, p2);

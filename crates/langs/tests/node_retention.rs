@@ -7,7 +7,8 @@
 //! giving back the old tree's nodes from one swap to the next.
 //!
 //! Edit reparses must retain at least as many old nodes as they did when
-//! retention required the recorded state to match.
+//! retention required the recorded state to match, and on a deterministic
+//! grammar must not touch the merge tables.
 
 use wg_core::{LanguageRegistry, Session, SessionConfig};
 use wg_dag::DagStats;
@@ -30,20 +31,26 @@ fn retained_over_edits(s: &mut Session, edits: &[(usize, usize, &str)]) -> usize
     total
 }
 
-#[test]
-fn edit_reparses_retain_no_fewer_nodes() {
-    // Every fifth statement line of a deterministic C document deleted and
-    // put back; requiring equal recorded states retained 76 nodes here.
-    let text = c_program(&GenSpec::sized(200, 0.0, 12)).text;
-    let mut s = Session::new(&wg_langs::simp_c_det(), &text).unwrap();
+/// Every fifth statement line of `text` deleted and put back, as
+/// `(at, remove, insert)` edits.
+fn statement_line_edits(text: &str) -> Vec<(usize, usize, &str)> {
     let starts: Vec<usize> = text.match_indices('\n').map(|(i, _)| i + 1).collect();
-    let edits: Vec<_> = starts
+    starts
         .windows(2)
         .map(|w| (w[0], &text[w[0]..w[1]]))
         .filter(|(_, line)| line.trim_end().ends_with(';'))
         .step_by(5)
         .flat_map(|(at, line)| [(at, line.len(), ""), (at, 0, line)])
-        .collect();
+        .collect()
+}
+
+#[test]
+fn edit_reparses_retain_no_fewer_nodes() {
+    // Statement lines of a deterministic C document deleted and put back;
+    // requiring equal recorded states retained 76 nodes here.
+    let text = c_program(&GenSpec::sized(200, 0.0, 12)).text;
+    let mut s = Session::new(&wg_langs::simp_c_det(), &text).unwrap();
+    let edits = statement_line_edits(&text);
     let retained = retained_over_edits(&mut s, &edits);
     assert!(retained >= 76, "simp_c_det line edits retained {retained}");
 
@@ -58,6 +65,22 @@ fn edit_reparses_retain_no_fewer_nodes() {
         .collect();
     let retained = retained_over_edits(&mut s, &edits);
     assert!(retained >= 181, "full_c scripted edits retained {retained}");
+}
+
+#[test]
+fn deterministic_edit_reparses_skip_the_merge_tables() {
+    // A reparse over a previous tree takes the deterministic fast path by
+    // the batch parse's rule: on a conflict-free table no reduction goes
+    // through the sharing tables, however the edit shapes the frontier.
+    let text = c_program(&GenSpec::sized(200, 0.0, 12)).text;
+    let mut s = Session::new(&wg_langs::simp_c_det(), &text).unwrap();
+    for (at, remove, insert) in statement_line_edits(&text) {
+        s.edit(at, remove, insert);
+        let out = s.reparse().unwrap();
+        assert!(out.incorporated, "edit at {at} refused");
+        assert!(out.report.parser.reductions > 0);
+        assert_eq!(out.report.merge_probes, 0, "merge-table probes at {at}");
+    }
 }
 
 #[test]
