@@ -750,7 +750,15 @@ mod tests {
             .unwrap()
             .dump();
         assert_ne!(renumbered, Session::new(&cfg, "a; b;").unwrap().dump());
+        // Over `a; b;` alone the delta is adopted, retaining both
+        // statements under the new table's states. The refused parse below
+        // runs through that same prefix before the bare `;` stops it.
+        let mut prefix = Session::new(&cfg, "a; b;").unwrap();
         reg.update_grammar(&d).unwrap();
+        let adopted = prefix.reparse().unwrap();
+        assert!(adopted.report.grammar_swapped);
+        assert!(adopted.report.nodes_retained >= 2);
+        assert_eq!(prefix.dump(), renumbered);
         let out = s.reparse().unwrap();
         assert!(
             !out.report.grammar_swapped,
@@ -758,9 +766,8 @@ mod tests {
         );
         assert_eq!(s.table_epoch(), 1);
         assert_eq!(s.grammar_swaps(), 0);
-        // The refused parse retained `a;` and `b;` under the new table's
-        // states before it failed; the refusal restores every one of them
-        // and its retentions no longer count.
+        // The refusal restores every state the refused parse rewrote, and
+        // its retentions no longer count.
         assert_eq!(s.arena().retained_this_epoch(), 0);
         assert_eq!(s.dump(), before);
         // The session still serves edits under the old table.

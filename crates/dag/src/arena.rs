@@ -34,9 +34,6 @@ use wg_grammar::{NonTerminal, ProdId, Terminal};
 /// Smallest slab region capacity (power of two).
 const MIN_REGION: u32 = 4;
 
-/// Node pairs one comparison of choice alternatives may visit.
-const ALT_ORDER_BUDGET: u32 = 64;
-
 /// One overwrite of a prior-epoch node made this epoch, as its old value.
 #[derive(Debug, Clone, Copy)]
 enum Undo {
@@ -519,10 +516,17 @@ impl DagArena {
 
     /// Adds an alternative interpretation to a symbol node at its sorted
     /// place, so the order of alternatives does not depend on which parser
-    /// reached the merge first. The key is the node kind (production id or
-    /// symbol), then the kid count, then the kid widths, with remaining
-    /// ties broken on the kids, left to right, by the same key; equal
-    /// alternatives keep their arrival order.
+    /// reached the merge first. The key is the alternative's own kind
+    /// (its production id), then its kid count, then its kid widths; equal
+    /// keys keep their arrival order.
+    ///
+    /// The key reads nothing a later proxy upgrade can change: an upgrade
+    /// swaps a kid for a symbol node of the same width, and an alternative
+    /// is never itself a proxy of another symbol, so a list sorted once
+    /// stays sorted. The kids' own structure is not read: alternatives of
+    /// one production with equal kid widths derive each kid over the same
+    /// (symbol, cover), for which one round's merge tables hold one node,
+    /// so they are one alternative.
     ///
     /// # Panics
     ///
@@ -544,7 +548,7 @@ impl DagArena {
         }
         let at = alts
             .iter()
-            .position(|&k| self.alt_order(alt, k, &mut { ALT_ORDER_BUDGET }).is_lt())
+            .position(|&k| self.alt_order(alt, k).is_lt())
             .unwrap_or(alts.len());
         self.kids_push(sym, alt);
         let DagArena { nodes, slab, .. } = self;
@@ -552,31 +556,14 @@ impl DagArena {
         self.set_parent(alt, sym);
     }
 
-    /// The alternative order of [`DagArena::add_choice`]. Until the kids,
-    /// it reads only production ids and widths, which stay put when a proxy
-    /// kid is upgraded to its symbol node. It visits at most `budget` node
-    /// pairs and calls what it has not told apart by then equal; one round
-    /// builds one node per (phylum, yield), so deep ties are rare.
-    fn alt_order(&self, a: NodeId, b: NodeId, budget: &mut u32) -> Ordering {
-        if a == b || *budget == 0 {
-            return Ordering::Equal;
-        }
-        *budget -= 1;
+    /// The alternative order of [`DagArena::add_choice`].
+    fn alt_order(&self, a: NodeId, b: NodeId) -> Ordering {
         let (ka, kb) = (self.kids(a), self.kids(b));
+        let width = |&k: &NodeId| self.width(k);
         self.kind(a)
             .cmp(self.kind(b))
             .then(ka.len().cmp(&kb.len()))
-            .then_with(|| {
-                let width = |&k: &NodeId| self.width(k);
-                ka.iter().map(width).cmp(kb.iter().map(width))
-            })
-            .then_with(|| {
-                ka.iter()
-                    .zip(kb)
-                    .map(|(&x, &y)| self.alt_order(x, y, budget))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(Ordering::Equal)
-            })
+            .then_with(|| ka.iter().map(width).cmp(kb.iter().map(width)))
     }
 
     /// Creates a sequence node (complete or prefix instance of a declared
@@ -1324,15 +1311,11 @@ mod tests {
         };
         let xy = prod(&mut a, 4, &[x, y]);
         let yz = prod(&mut a, 4, &[y, z]);
-        let (inner_low, inner_high) = (prod(&mut a, 5, &[x, y]), prod(&mut a, 6, &[x, y]));
         let alts = [
             prod(&mut a, 2, &[xy, z]),
             prod(&mut a, 1, &[x, y, z]),
             prod(&mut a, 2, &[x, yz]),
             prod(&mut a, 3, &[x, yz]),
-            // Equal production and widths: told apart by their kids.
-            prod(&mut a, 2, &[inner_low, z]),
-            prod(&mut a, 2, &[inner_high, z]),
         ];
         let packed = |a: &mut DagArena, order: &[usize]| {
             let sym = a.symbol(NonTerminal::from_index(1), alts[order[0]]);
@@ -1341,14 +1324,51 @@ mod tests {
             }
             a.kids(sym).to_vec()
         };
-        let want = packed(&mut a, &[0, 1, 2, 3, 4, 5]);
+        let want = packed(&mut a, &[0, 1, 2, 3]);
         assert_eq!(
             want,
-            [alts[1], alts[2], alts[0], alts[4], alts[5], alts[3]],
-            "production, kid count, kid widths, then kids"
+            [alts[1], alts[2], alts[0], alts[3]],
+            "production, kid count, then kid widths"
         );
-        assert_eq!(packed(&mut a, &[5, 3, 1, 4, 0, 2]), want);
-        assert_eq!(packed(&mut a, &[1, 0, 4, 2, 5, 3]), want);
+        assert_eq!(packed(&mut a, &[3, 1, 0, 2]), want);
+        assert_eq!(packed(&mut a, &[1, 0, 2, 3]), want);
+    }
+
+    #[test]
+    fn upgrading_a_kid_to_a_symbol_leaves_the_alternative_order_alone() {
+        let mut a = DagArena::new();
+        let (x, y, z) = (t(&mut a, "x"), t(&mut a, "y"), t(&mut a, "z"));
+        let prod = |a: &mut DagArena, p: usize, kids: &[NodeId]| {
+            a.production(ProdId::from_index(p), ParseState::MULTI, kids)
+        };
+        // Three alternatives of one production over equal kid widths,
+        // whose first kids differ only in kind.
+        let (k7, k8, k9) = (
+            prod(&mut a, 7, &[x, y]),
+            prod(&mut a, 8, &[x, y]),
+            prod(&mut a, 9, &[x, y]),
+        );
+        let (p7, p8, p9) = (
+            prod(&mut a, 2, &[k7, z]),
+            prod(&mut a, 2, &[k8, z]),
+            prod(&mut a, 2, &[k9, z]),
+        );
+        let sym = a.symbol(NonTerminal::from_index(1), p7);
+        a.add_choice(sym, p8);
+        // `k7` was a proxy: a second reading of its cover upgrades it to a
+        // symbol node, patched into `p7` after `p7` was packed.
+        let k10 = prod(&mut a, 10, &[x, y]);
+        let upgraded = a.symbol(NonTerminal::from_index(2), k7);
+        a.add_choice(upgraded, k10);
+        assert_eq!(a.replace_kid(p7, k7, upgraded), 1);
+        a.add_choice(sym, p9);
+        // A symbol packed from the upgraded nodes in the same arrival
+        // order holds them in the same order.
+        let fresh = a.symbol(NonTerminal::from_index(1), p7);
+        a.add_choice(fresh, p8);
+        a.add_choice(fresh, p9);
+        assert_eq!(a.kids(sym), a.kids(fresh));
+        assert_eq!(a.kids(sym), [p7, p8, p9], "equal keys keep arrival order");
     }
 
     #[test]
